@@ -47,46 +47,42 @@ def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
             raise ReflectionOutOfRange(f"R_{n} = {r} outside (-1, 1)")
 
 
-def reflection_amplitude(refls: Sequence[float], tv: TransitVector) -> float:
-    """Amplitude of the reflection echo with transit vector k."""
-    if tv.kind != REFLECTION:
-        raise InvalidTransitVector(f"expected reflection kind, got {tv.kind}")
+def layer_factor(kind: str, r: float, kn: int, ktn: int) -> float:
+    """Per-index factor s_n(R_n, k_n, k~_n); the amplitude of k is their
+    product over n = 0..M, multiplied in that order."""
+    t2 = 1.0 - r * r
+    if kind == REFLECTION:
+        un, tn = min(1, ktn), 1.0
+    else:
+        un, tn = 0, math.sqrt(t2)
+    s = 0.0
+    for b in range(un, min(kn, ktn) + 1):
+        c = math.comb(kn, b) * math.comb(ktn - un, b - un)
+        sign = -1.0 if (ktn - b) & 1 else 1.0
+        s += c * sign * r ** (ktn - b + kn - b) * t2 ** b * tn
+    return s
+
+
+def _amplitude(kind: str, refls: Sequence[float], tv: TransitVector) -> float:
+    if tv.kind != kind:
+        raise InvalidTransitVector(f"expected {kind} kind, got {tv.kind}")
     k = tv.k
     _check_reflections(refls, k)
     kt = left_shift(k)
     total = 1.0
     for n in range(len(k)):
-        kn, ktn, rn = k[n], kt[n], refls[n]
-        un = min(1, ktn)
-        t2 = 1.0 - rn * rn
-        s = 0.0
-        for b in range(un, min(kn, ktn) + 1):
-            c = math.comb(kn, b) * math.comb(ktn - un, b - un)
-            sign = -1.0 if (ktn - b) & 1 else 1.0
-            s += c * sign * rn ** (ktn - b + kn - b) * t2 ** b
-        total *= s
+        total *= layer_factor(kind, refls[n], k[n], kt[n])
     return total
+
+
+def reflection_amplitude(refls: Sequence[float], tv: TransitVector) -> float:
+    """Amplitude of the reflection echo with transit vector k."""
+    return _amplitude(REFLECTION, refls, tv)
 
 
 def transmission_amplitude(refls: Sequence[float], tv: TransitVector) -> float:
     """Amplitude of the transmission echo with transit vector k."""
-    if tv.kind != TRANSMISSION:
-        raise InvalidTransitVector(f"expected transmission kind, got {tv.kind}")
-    k = tv.k
-    _check_reflections(refls, k)
-    kt = left_shift(k)
-    total = 1.0
-    for n in range(len(k)):
-        kn, ktn, rn = k[n], kt[n], refls[n]
-        t2 = 1.0 - rn * rn
-        tn = math.sqrt(t2)
-        s = 0.0
-        for m in range(min(kn, ktn) + 1):
-            c = math.comb(kn, m) * math.comb(ktn, m)
-            sign = -1.0 if (ktn - m) & 1 else 1.0
-            s += c * sign * rn ** (ktn - m + kn - m) * t2 ** m * tn
-        total *= s
-    return total
+    return _amplitude(TRANSMISSION, refls, tv)
 
 
 def amplitude(refls: Sequence[float], tv: TransitVector) -> float:

@@ -110,8 +110,7 @@ def _cmd_oracle(args) -> int:
     for kind in kinds:
         # pad the walk budget so boundary arrivals cannot drop a class
         pad = args.cutoff * (1.0 + 1e-9) + 1e-12
-        sums = oracle.weight_sums_by_vector(medium, kind, pad, limit=args.limit)
-        counts = oracle.class_counts(medium, kind, pad, limit=args.limit)
+        sums, counts = oracle.tally(medium, kind, pad, limit=args.limit)
         enum = (transit.enumerate_reflection if kind == REFLECTION
                 else transit.enumerate_transmission)
         n_vec = 0
@@ -123,7 +122,6 @@ def _cmd_oracle(args) -> int:
             brute = sums.get(tv.k, 0.0)
             scale = max(abs(brute), abs(closed), 1e-300)
             worst = max(worst, abs(closed - brute) / scale)
-        per_class = {}
         for (k, b), count in counts.items():
             tv = TransitVector(k, kind)
             expected = class_count(tv, b)
@@ -189,7 +187,7 @@ def _add_common_train_args(p):
     p.add_argument("--floor", type=float, default=0.0,
                    help="drop terms with |amplitude| below this (default keep all)")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"parallel amplitude evaluation (default ${THREADS_ENV} "
+                   help=f"accepted and has no effect (default ${THREADS_ENV} "
                         "or available cores)")
     p.add_argument("--with-k", action="store_true", dest="with_k",
                    help="emit the transit vector provenance column")

@@ -22,7 +22,7 @@ class InvalidProfile(LayeredEchoError, ValueError):
 
 
 class ParseError(LayeredEchoError, ValueError):
-    """Medium file could not be parsed.  Carries the 1-based line number."""
+    """An input file could not be parsed.  Carries the 1-based line number."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:
@@ -32,7 +32,7 @@ class ParseError(LayeredEchoError, ValueError):
 
 
 class DomainError(LayeredEchoError, ValueError):
-    """Multi-index binomial arguments out of domain."""
+    """An argument lies outside the domain of the computation."""
 
 
 class InvalidTransitVector(LayeredEchoError, ValueError):

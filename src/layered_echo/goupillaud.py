@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import UnequalTaus
+from .errors import DomainError, UnequalTaus
 from .medium import Medium
 from .transit import half_total_time
 
@@ -55,7 +55,7 @@ def simulate(medium: Medium, n_steps: int) -> LatticeResult:
     if any(t != period for t in taus):
         raise UnequalTaus(f"layer travel times must all be equal, got {taus}")
     if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+        raise DomainError("n_steps must be >= 1")
 
     m = medium.n_layers
     refl = medium.reflections

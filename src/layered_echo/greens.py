@@ -5,20 +5,21 @@ triples up to a cutoff, sorted by time with lexicographic transit-vector
 tie break.  Coincident arrivals are NOT merged by default -- the train is
 indexed per transit vector -- merging is an explicit post-pass.
 
-Amplitude evaluation over the enumerated vectors may be split across
-threads; the result is made deterministic by the final sort, so the same
-inputs produce bit-identical trains at any thread count.
+A train build evaluates each distinct per-layer factor once.  The
+``threads`` keyword of the builders is accepted and has no effect: trains
+are built in the calling thread, bit-identical whatever value is given.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from . import transit
-from .amplitudes import reflection_amplitude, transmission_amplitude
+# the amplitude functions stay importable from here, where callers look them up
+from .amplitudes import layer_factor, reflection_amplitude, transmission_amplitude
+from .errors import DomainError, ParseError
 from .medium import Medium
 from .transit import REFLECTION, TRANSMISSION, TransitVector
 
@@ -62,33 +63,25 @@ class SampledSignal:
         return [self.t0 + i * self.dt for i in range(len(self.samples))]
 
 
-def _chunked(items: List, n_chunks: int) -> List[List]:
-    size = max(1, (len(items) + n_chunks - 1) // n_chunks)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def _build_train(medium: Medium, cutoff: float, kind: str,
-                 amplitude_floor: float, threads: int) -> PulseTrain:
-    if kind == REFLECTION:
-        vectors = list(transit.enumerate_reflection(medium, cutoff))
-        arrival = lambda tv: transit.reflection_arrival(tv.k, medium)
-        amp = lambda tv: reflection_amplitude(medium.reflections, tv)
-    else:
-        vectors = list(transit.enumerate_transmission(medium, cutoff))
-        arrival = lambda tv: transit.transmission_arrival(tv.k, medium)
-        amp = lambda tv: transmission_amplitude(medium.reflections, tv)
-
-    def eval_chunk(chunk):
-        return [PulseTerm(arrival(tv), amp(tv), tv.k) for tv in chunk]
-
-    if threads > 1 and len(vectors) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(eval_chunk, _chunked(vectors, threads * 4)))
-        terms = [t for part in parts for t in part]
-    else:
-        terms = eval_chunk(vectors)
-
-    terms.sort(key=lambda t: (t.time, t.k))
+                 amplitude_floor: float) -> PulseTrain:
+    if not math.isfinite(cutoff):
+        raise DomainError(f"cutoff must be finite, got {cutoff}")
+    arrivals = (transit.reflection_arrivals if kind == REFLECTION
+                else transit.transmission_arrivals)
+    refls = medium.reflections
+    factors = {}
+    rows = []
+    for k, time in arrivals(medium, cutoff):
+        amp = 1.0
+        for n, kn, ktn in zip(range(len(k)), k, k[1:] + (0,)):
+            s = factors.get((n, kn, ktn))
+            if s is None:
+                s = factors[n, kn, ktn] = layer_factor(kind, refls[n], kn, ktn)
+            amp *= s
+        rows.append((time, k, amp))
+    rows.sort()  # (time, k) order; k is unique, so amp never decides
+    terms = [PulseTerm(time, amp, k) for time, k, amp in rows]
     if amplitude_floor > 0.0:
         terms = [t for t in terms if abs(t.amplitude) >= amplitude_floor]
     return PulseTrain(kind, cutoff, tuple(terms))
@@ -97,13 +90,13 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
 def reflection_green(medium: Medium, cutoff: float, *,
                      amplitude_floor: float = 0.0, threads: int = 1) -> PulseTrain:
     """The reflection Green's function up to the cutoff, one term per k."""
-    return _build_train(medium, cutoff, REFLECTION, amplitude_floor, threads)
+    return _build_train(medium, cutoff, REFLECTION, amplitude_floor)
 
 
 def transmission_green(medium: Medium, cutoff: float, *,
                        amplitude_floor: float = 0.0, threads: int = 1) -> PulseTrain:
     """The transmission Green's function up to the cutoff, one term per k."""
-    return _build_train(medium, cutoff, TRANSMISSION, amplitude_floor, threads)
+    return _build_train(medium, cutoff, TRANSMISSION, amplitude_floor)
 
 
 DEFAULT_MERGE_TOL = 1e-12
@@ -120,7 +113,7 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
     the amplitudes.  tol_rel = 0 merges only bit-identical times.
     """
     if tol_rel < 0:
-        raise ValueError("tol_rel must be >= 0")
+        raise DomainError("tol_rel must be >= 0")
     if not train.terms:
         return train
     floor = train.terms[0].time
@@ -148,7 +141,7 @@ def _merge_group(group: List[PulseTerm]) -> PulseTerm:
 def ricker(peak_freq: float) -> Callable[[float], float]:
     """Ricker wavelet normalized to unit peak: (1 - 2 pi^2 f^2 t^2) exp(-pi^2 f^2 t^2)."""
     if not (peak_freq > 0.0):
-        raise ValueError("peak frequency must be positive")
+        raise DomainError("peak frequency must be positive")
     a = (math.pi * peak_freq) ** 2
 
     def w(t: float) -> float:
@@ -166,9 +159,9 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
     or the string "spike", which places each amplitude in the nearest bin.
     """
     if not (dt > 0.0):
-        raise ValueError("dt must be positive")
+        raise DomainError("dt must be positive")
     if n_samples < 1:
-        raise ValueError("need at least one sample")
+        raise DomainError("need at least one sample")
     samples = [0.0] * n_samples
     if wavelet == "spike":
         for term in train.terms:
@@ -204,18 +197,21 @@ def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> 
 
 def read_train_csv(stream: TextIO, kind: str = REFLECTION,
                    cutoff: float = math.inf) -> PulseTrain:
-    """Parse a train CSV produced by write_train_csv (k column optional)."""
+    """Parse a train CSV from write_train_csv (k optional); a bad row raises ParseError."""
     header = stream.readline().strip().split(",")
     terms = []
-    for line in stream:
+    for line_no, line in enumerate(stream, start=2):
         line = line.strip()
         if not line:
             continue
         fields = line.split(",")
-        k: Tuple[int, ...] = ()
-        if len(fields) >= 3 and "k" in header:
-            k = tuple(int(x) for x in fields[2].split("|"))
-        terms.append(PulseTerm(float(fields[0]), float(fields[1]), k))
+        try:
+            k: Tuple[int, ...] = ()
+            if len(fields) >= 3 and "k" in header:
+                k = tuple(int(x) for x in fields[2].split("|"))
+            terms.append(PulseTerm(float(fields[0]), float(fields[1]), k))
+        except (ValueError, IndexError):
+            raise ParseError(f"malformed train row {line!r}", line_no) from None
     return PulseTrain(kind, cutoff, tuple(terms))
 
 

@@ -279,8 +279,5 @@ def _read_phys(lines, m: int) -> Medium:
     if len(depths) not in (m + 2, m + 3):
         raise ParseError(
             f"expected {m + 2} or {m + 3} depths for M={m}, got {len(depths)}", dline)
-    try:
-        profile = PhysicalProfile(tuple(depths), tuple(rho), tuple(bulk))
-    except InvalidProfile:
-        raise
+    profile = PhysicalProfile(tuple(depths), tuple(rho), tuple(bulk))
     return from_physical(profile)

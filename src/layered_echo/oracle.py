@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import EnumerationLimitExceeded, InvalidSequence
+from .errors import DomainError, EnumerationLimitExceeded, InvalidSequence
 from .medium import Medium
 from .transit import (
     REFLECTION,
@@ -150,7 +150,7 @@ def enumerate_sequences(medium: Medium, kind: str, cutoff: float,
     EnumerationLimitExceeded past ``limit`` emitted sequences.
     """
     if not math.isfinite(cutoff):
-        raise ValueError("cutoff must be finite")
+        raise DomainError("cutoff must be finite")
     m = medium.n_layers
     taus = medium.all_taus
     half = [0.5 * t for t in taus]
@@ -224,24 +224,28 @@ def enumerate_sequences(medium: Medium, kind: str, cutoff: float,
         yield from walk(0, t0)
 
 
+def tally(medium: Medium, kind: str, cutoff: float,
+          limit: int = DEFAULT_SEQUENCE_LIMIT) -> Tuple[Dict, Dict]:
+    """One walk pass: (weight_sums_by_vector, class_counts) of the same walks."""
+    sums: Dict[Tuple[int, ...], float] = {}
+    counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    for seq in enumerate_sequences(medium, kind, cutoff, limit):
+        st = stats(seq, medium)
+        sums[st.k.k] = sums.get(st.k.k, 0.0) + st.weight
+        key = (st.k.k, st.b)
+        counts[key] = counts.get(key, 0) + 1
+    return sums, counts
+
+
 def class_counts(medium: Medium, kind: str, cutoff: float,
                  limit: int = DEFAULT_SEQUENCE_LIMIT
                  ) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]:
     """Exact number of walks per (transit vector, branch vector) class."""
-    out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for seq in enumerate_sequences(medium, kind, cutoff, limit):
-        st = stats(seq, medium)
-        key = (st.k.k, st.b)
-        out[key] = out.get(key, 0) + 1
-    return out
+    return tally(medium, kind, cutoff, limit)[1]
 
 
 def weight_sums_by_vector(medium: Medium, kind: str, cutoff: float,
                           limit: int = DEFAULT_SEQUENCE_LIMIT
                           ) -> Dict[Tuple[int, ...], float]:
     """Sum of walk weights grouped by transit vector."""
-    out: Dict[Tuple[int, ...], float] = {}
-    for seq in enumerate_sequences(medium, kind, cutoff, limit):
-        st = stats(seq, medium)
-        out[st.k.k] = out.get(st.k.k, 0.0) + st.weight
-    return out
+    return tally(medium, kind, cutoff, limit)[0]

@@ -62,11 +62,6 @@ def left_shift(k: Sequence[int]) -> Tuple[int, ...]:
     return k[1:] + (0,)
 
 
-def unit_clip(k: Sequence[int]) -> Tuple[int, ...]:
-    """Entrywise min with 1."""
-    return tuple(min(1, x) for x in k)
-
-
 def multi_binomial_exact(x: Sequence[int], y: Sequence[int]) -> int:
     """Product of entrywise binomial coefficients, exact integer."""
     if len(x) != len(y):
@@ -130,8 +125,8 @@ def transmission_arrival(k: Sequence[int], medium: Medium) -> float:
     return t
 
 
-def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
-    """Yield every reflection transit vector with <k, tau> <= cutoff, once each.
+def reflection_arrivals(medium: Medium, cutoff: float) -> Iterator[tuple]:
+    """Yield (k, reflection_arrival(k)) for every k with <k, tau> <= cutoff.
 
     DFS order; the cutoff comparison is inclusive.  Empty if cutoff < tau_0.
     """
@@ -142,7 +137,7 @@ def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVecto
         return
 
     def walk(n: int, prefix: Tuple[int, ...], t: float):
-        yield TransitVector(prefix + (0,) * (m1 - n), REFLECTION)
+        yield prefix + (0,) * (m1 - n), t
         if n < m1:
             kn = 1
             while True:
@@ -155,8 +150,8 @@ def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVecto
     yield from walk(1, (1,), t0)
 
 
-def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
-    """Yield every transmission transit vector arriving by the cutoff, once each.
+def transmission_arrivals(medium: Medium, cutoff: float) -> Iterator[tuple]:
+    """Yield (k, transmission_arrival(k)) for every k arriving by the cutoff.
 
     Arrival = |tau'|/2 + <k, tau>, inclusive comparison; empty if the direct
     arrival already exceeds the cutoff.
@@ -169,7 +164,7 @@ def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVec
 
     def walk(n: int, prefix: Tuple[int, ...], t: float):
         if n == m1:
-            yield TransitVector(prefix, TRANSMISSION)
+            yield prefix, t
             return
         kn = 0
         while True:
@@ -180,3 +175,14 @@ def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVec
             kn += 1
 
     yield from walk(1, (0,), base)
+
+
+def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
+    """Yield every reflection transit vector with <k, tau> <= cutoff, once each."""
+    return (TransitVector(k, REFLECTION) for k, _ in reflection_arrivals(medium, cutoff))
+
+
+def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
+    """Yield every transmission transit vector arriving by the cutoff, once each."""
+    return (TransitVector(k, TRANSMISSION)
+            for k, _ in transmission_arrivals(medium, cutoff))

@@ -9,12 +9,12 @@ from conftest import BENCH10
 PKG = [sys.executable, "-m", "layered_echo"]
 
 
-def run(*args, env_extra=None):
+def run(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(PKG + list(args), capture_output=True, text=True,
-                          env=env)
+                          env=env, timeout=timeout)
 
 
 @pytest.fixture
@@ -144,3 +144,39 @@ def test_stderr_stdout_separation(small_medium):
     res = run("reflect", "--medium", small_medium, "--cutoff", "2")
     assert "terms=" not in res.stdout
     assert "terms=" in res.stderr
+
+
+def test_reflect_infinite_cutoff_is_usage_error(small_medium):
+    res = run("reflect", "--medium", small_medium, "--cutoff", "inf",
+              timeout=60)
+    assert res.returncode == 2
+    assert "finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [("oracle", "--cutoff", "inf"),
+                                  ("lattice", "--steps", "0")])
+def test_verifier_bad_argument_is_usage_error(small_medium, args):
+    res = run(args[0], "--medium", small_medium, *args[1:], timeout=60)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
+def test_render_negative_sample_count_is_usage_error(small_medium, tmp_path):
+    train = tmp_path / "train.csv"
+    run("reflect", "--medium", small_medium, "--cutoff", "2", "--out", str(train))
+    res = run("render", "--train", str(train), "--wavelet", "spike",
+              "--dt", "0.5", "--n", "-1")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("row", ["1.0,abc", "1.0"])
+def test_render_malformed_train_row_is_parse_error(tmp_path, row):
+    train = tmp_path / "train.csv"
+    train.write_text(f"time,amplitude\n1,0.5\n{row}\n")
+    res = run("render", "--train", str(train), "--wavelet", "spike",
+              "--dt", "0.5", "--n", "3")
+    assert res.returncode == 2
+    assert "line 3" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layered_echo import (
     PulseTerm,
@@ -17,9 +18,16 @@ from layered_echo import (
     transmission_green,
     write_train_csv,
 )
+from layered_echo.amplitudes import amplitude
 from layered_echo.greens import read_train_csv, write_signal_csv
 from layered_echo.oracle import enumerate_sequences, stats
-from layered_echo.transit import TRANSMISSION
+from layered_echo.transit import (
+    TRANSMISSION,
+    enumerate_transmission,
+    half_total_time,
+    reflection_arrival,
+    transmission_arrival,
+)
 
 
 def test_m1_train_values():
@@ -175,3 +183,38 @@ def test_signal_csv():
     buf = io.StringIO()
     write_signal_csv(sig, buf)
     assert buf.getvalue().splitlines() == ["time,value", "0,0", "0.5,0", "1,1"]
+
+
+@st.composite
+def _media_and_cutoffs(draw):
+    m = draw(st.integers(1, 4))
+    taus = draw(st.lists(st.floats(0.1, 1.0), min_size=m + 1, max_size=m + 1))
+    refls = draw(st.lists(st.floats(-0.95, 0.95), min_size=m + 1, max_size=m + 1))
+    tail = draw(st.floats(0.0, 1.0))
+    medium = make_medium(tuple(taus), tail, tuple(refls))
+    kind = draw(st.sampled_from([REFLECTION, TRANSMISSION]))
+    start = taus[0] if kind == REFLECTION else half_total_time(medium)
+    cutoff = start + draw(st.floats(0.3, 2.5)) * sum(taus)
+    floor = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    return medium, kind, cutoff, floor
+
+
+@settings(max_examples=60, deadline=None)
+@given(_media_and_cutoffs())
+def test_train_matches_validated_reference(case):
+    medium, kind, cutoff, floor = case
+    if kind == REFLECTION:
+        build, enum, arrival = reflection_green, enumerate_reflection, reflection_arrival
+    else:
+        build, enum, arrival = transmission_green, enumerate_transmission, transmission_arrival
+    train = build(medium, cutoff, amplitude_floor=floor)
+    vectors = list(enum(medium, cutoff))
+    reference = sorted((arrival(tv.k, medium), tv.k,
+                        amplitude(medium.reflections, tv)) for tv in vectors)
+    expected = [(t.hex(), a.hex(), k) for t, k, a in reference
+                if floor == 0.0 or abs(a) >= floor]
+    assert [(t.time.hex(), t.amplitude.hex(), t.k) for t in train.terms] == expected
+    keys = [(t.time, t.k) for t in train.terms]
+    assert keys == sorted(keys)
+    if floor == 0.0:
+        assert len(train) == len(vectors)
