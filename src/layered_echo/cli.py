@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import goupillaud, greens, oracle, transit
 from .amplitudes import amplitude, class_count
-from .errors import LayeredEchoError
+from .errors import LayeredEchoError, ParseError
 from .medium import Medium, read_medium, write_medium
 from .transit import REFLECTION, TRANSMISSION, TransitVector
 
@@ -168,8 +168,12 @@ def _cmd_lattice(args) -> int:
 def _cmd_render(args) -> int:
     if not os.path.exists(args.train):
         raise LayeredEchoError(f"train CSV not found: {args.train}")
-    with open(args.train, "r", encoding="ascii") as fh:
-        train = greens.read_train_csv(fh)
+    try:
+        with open(args.train, "r", encoding="ascii") as fh:
+            train = greens.read_train_csv(fh)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"non-ASCII byte {byte:#04x} in train CSV {args.train}") from None
     wavelet = _parse_wavelet(args.wavelet)
     signal = greens.convolve(train, wavelet, args.t0, args.dt, args.n)
     with _open_out(args.out) as fh:

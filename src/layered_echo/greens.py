@@ -139,15 +139,25 @@ def _merge_group(group: List[PulseTerm]) -> PulseTerm:
 
 
 def ricker(peak_freq: float) -> Callable[[float], float]:
-    """Ricker wavelet normalized to unit peak: (1 - 2 pi^2 f^2 t^2) exp(-pi^2 f^2 t^2)."""
-    if not (peak_freq > 0.0):
-        raise DomainError("peak frequency must be positive")
+    """Ricker wavelet normalized to unit peak: (1 - 2 pi^2 f^2 t^2) exp(-pi^2 f^2 t^2).
+
+    The returned callable has a ``radius`` attribute, sqrt(750) / (pi f),
+    and returns exactly 0.0 for |t| >= radius.  There pi^2 f^2 t^2 >= 750,
+    past the point (about 745) where exp(-x) underflows to 0.0, so the cut
+    changes no value; it keeps a huge |t| from overflowing into nan.
+    """
+    if not (0.0 < peak_freq <= 1e150):  # above, (pi f)^2 overflows
+        raise DomainError("peak frequency must be positive and at most 1e150")
     a = (math.pi * peak_freq) ** 2
+    radius = math.sqrt(750.0) / (math.pi * peak_freq)
 
     def w(t: float) -> float:
+        if abs(t) >= radius:
+            return 0.0
         x = a * t * t
         return (1.0 - 2.0 * x) * math.exp(-x)
 
+    w.radius = radius
     return w
 
 
@@ -157,9 +167,21 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
 
     ``wavelet`` is either a callable evaluated analytically at each sample,
     or the string "spike", which places each amplitude in the nearest bin.
+
+    Sample i is the sum over the terms, in train order, of
+    amplitude * wavelet(t0 + i*dt - time).  A callable with a ``radius``
+    attribute promises wavelet(t) == 0.0 for |t| >= radius (as ``ricker``
+    does); each term then visits only the samples inside its radius, with
+    one sample of margin each side, and the skipped contributions are
+    exactly +-0.0, so the signal is bit-identical to the sum over every
+    sample.  Where rounding of huge times could move a sample across the
+    radius, that term takes the whole grid.  A callable without ``radius``
+    is evaluated on the whole grid.  Cost: O(terms + sum of the windows)
+    wavelet calls instead of O(samples x terms).
+    Term times and amplitudes must be finite (``read_train_csv`` checks).
     """
-    if not (dt > 0.0):
-        raise DomainError("dt must be positive")
+    if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t0)):
+        raise DomainError("dt must be positive and finite, t0 finite")
     if n_samples < 1:
         raise DomainError("need at least one sample")
     samples = [0.0] * n_samples
@@ -169,12 +191,21 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
             if 0 <= idx < n_samples:
                 samples[idx] += term.amplitude
     else:
-        for i in range(n_samples):
-            t = t0 + i * dt
-            acc = 0.0
-            for term in train.terms:
-                acc += term.amplitude * wavelet(t - term.time)
-            samples[i] = acc
+        radius = getattr(wavelet, "radius", math.inf)
+        n = float(n_samples)
+        for term in train.terms:
+            tj, aj = term.time, term.amplitude
+            # clamp in float: int() of a huge or infinite quotient would overflow
+            lo = int(max(0.0, min(n, (tj - radius - t0) / dt - 1.0)))
+            hi = int(max(0.0, min(n, (tj + radius - t0) / dt + 2.0)))
+            # t0 + i*dt - tj is monotone in i, so if the samples just outside
+            # the window lie at or beyond the radius, all the skipped ones do;
+            # when rounding of huge times breaks that, take the whole grid
+            if ((lo > 0 and t0 + (lo - 1) * dt - tj > -radius)
+                    or (hi < n_samples and t0 + hi * dt - tj < radius)):
+                lo, hi = 0, n_samples
+            for i in range(lo, hi):
+                samples[i] += aj * wavelet(t0 + i * dt - tj)
     return SampledSignal(t0, dt, tuple(samples))
 
 
@@ -197,7 +228,11 @@ def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> 
 
 def read_train_csv(stream: TextIO, kind: str = REFLECTION,
                    cutoff: float = math.inf) -> PulseTrain:
-    """Parse a train CSV from write_train_csv (k optional); a bad row raises ParseError."""
+    """Parse a train CSV from write_train_csv (k optional).
+
+    A malformed row, or one whose time or amplitude is not finite, raises
+    ParseError with its line number.
+    """
     header = stream.readline().strip().split(",")
     terms = []
     for line_no, line in enumerate(stream, start=2):
@@ -209,9 +244,12 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
             k: Tuple[int, ...] = ()
             if len(fields) >= 3 and "k" in header:
                 k = tuple(int(x) for x in fields[2].split("|"))
-            terms.append(PulseTerm(float(fields[0]), float(fields[1]), k))
+            time, amp = float(fields[0]), float(fields[1])
         except (ValueError, IndexError):
             raise ParseError(f"malformed train row {line!r}", line_no) from None
+        if not (math.isfinite(time) and math.isfinite(amp)):
+            raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
+        terms.append(PulseTerm(time, amp, k))
     return PulseTrain(kind, cutoff, tuple(terms))
 
 

@@ -201,13 +201,18 @@ def read_medium(source: Union[str, TextIO], fmt: str = None) -> Medium:
     header line.  Strings containing a newline are treated as file
     content, other strings as paths.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and "\n" not in source:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    else:
-        text = source
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        elif isinstance(source, str) and "\n" not in source:
+            with open(source, "r", encoding="ascii") as fh:
+                text = fh.read()
+        else:
+            text = source
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"non-ASCII byte {byte:#04x}",
+                         exc.object.count(b"\n", 0, exc.start) + 1) from None
 
     lines = list(_data_lines(text))
     if not lines:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -171,7 +172,7 @@ def test_render_negative_sample_count_is_usage_error(small_medium, tmp_path):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("row", ["1.0,abc", "1.0"])
+@pytest.mark.parametrize("row", ["1.0,abc", "1.0", "0.5,nan", "inf,0.5"])
 def test_render_malformed_train_row_is_parse_error(tmp_path, row):
     train = tmp_path / "train.csv"
     train.write_text(f"time,amplitude\n1,0.5\n{row}\n")
@@ -180,3 +181,50 @@ def test_render_malformed_train_row_is_parse_error(tmp_path, row):
     assert res.returncode == 2
     assert "line 3" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [("--wavelet", "ricker:inf"), ("--t0", "nan"),
+                                  ("--dt", "inf")], ids=["ricker-inf", "t0-nan", "dt-inf"])
+def test_render_non_finite_argument_is_usage_error(tmp_path, args):
+    train = tmp_path / "train.csv"
+    train.write_text("time,amplitude\n1,0.5\n")
+    # the last of a repeated option wins
+    res = run("render", "--train", str(train), "--wavelet", "ricker:25",
+              "--dt", "0.5", "--n", "3", *args)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
+def test_render_non_ascii_train_is_parse_error(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_bytes(b"time,amplitude\n1,0.5\n\xff,1\n")
+    res = run("render", "--train", str(train), "--dt", "0.5", "--n", "3")
+    assert res.returncode == 2
+    assert "0xff" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_reflect_non_ascii_medium_is_parse_error(tmp_path):
+    bad = tmp_path / "bad.taur"
+    bad.write_bytes(b"taur v1 M=1\n1.0 0.5\n\xff 0.5\n")
+    res = run("reflect", "--medium", str(bad), "--cutoff", "2")
+    assert res.returncode == 2
+    assert "line 3" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+# sha256 of the signals rendered over bench10 trains, as every-sample
+# convolution computed them: windowing must not move a bit
+@pytest.mark.parametrize("kind, cutoff, render_args, digest", [
+    ("reflect", "5.38014", ("--dt", "0.004", "--n", "300"),
+     "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"),
+    ("transmit", "3.69007", ("--t0", "0", "--dt", "0.004", "--n", "2000"),
+     "e9a8e10586e6d49531cdb92fc5592623e762f46ea87f186cfce06fcc5dbd5417"),
+])
+def test_render_bench10_ricker_signal_is_pinned(tmp_path, kind, cutoff, render_args, digest):
+    train = tmp_path / "train.csv"
+    res = run(kind, "--medium", str(BENCH10), "--cutoff", cutoff, "--out", str(train))
+    assert res.returncode == 0
+    res = run("render", "--train", str(train), "--wavelet", "ricker:25", *render_args)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest

@@ -157,6 +157,80 @@ def test_ricker_unit_peak():
     assert sig.samples[0] == pytest.approx(-0.4, abs=0)
 
 
+def _convolve_every_sample(train, wavelet, t0, dt, n_samples):
+    """The O(samples x terms) loop that windowed convolve must reproduce."""
+    samples = []
+    for i in range(n_samples):
+        t = t0 + i * dt
+        acc = 0.0
+        for term in train.terms:
+            acc += term.amplitude * wavelet(t - term.time)
+        samples.append(acc)
+    return samples
+
+
+@st.composite
+def _trains_and_grids(draw):
+    freq = draw(st.floats(1.0, 200.0))
+    w = ricker(freq)
+    radius = w.radius
+    dt = radius * 10.0 ** draw(st.floats(-3.0, math.log10(2.0)))
+    n = draw(st.integers(1, 40))
+    t0 = draw(st.floats(-5.0, 5.0))
+    end = t0 + (n - 1) * dt
+    # times before, inside, after and far from the grid, and just inside
+    # one radius of a sample, where the wavelet's last nonzero (subnormal)
+    # values lie and a window cut too short would drop them
+    near = st.floats(t0 - 3 * radius, end + 3 * radius)
+    edge = st.builds(lambda i, s: t0 + i * dt + s * radius, st.integers(0, n - 1),
+                     st.floats(0.995, 1.0) | st.floats(-1.0, -0.995))
+    far = st.sampled_from([t0 - 1e3 * radius, end + 1e3 * radius, -1e300, 1e300])
+    times = draw(st.lists(st.one_of(near, edge, far), max_size=12))
+    times += draw(st.lists(st.sampled_from(times), max_size=4)) if times else []
+    times = draw(st.permutations(times))
+    amps = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(times), max_size=len(times)))
+    terms = tuple(PulseTerm(t, a, (1,)) for t, a in zip(times, amps))
+    wavelet = draw(st.sampled_from([w, lambda t: w(t)]))  # the lambda has no radius
+    return PulseTrain(REFLECTION, 1.0, terms), wavelet, t0, dt, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trains_and_grids())
+def test_windowed_convolve_matches_every_sample_loop(case):
+    train, wavelet, t0, dt, n = case
+    got = convolve(train, wavelet, t0, dt, n).samples
+    want = _convolve_every_sample(train, wavelet, t0, dt, n)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_windowed_convolve_exact_when_rounding_exceeds_the_radius():
+    # at t0 = 1e20 a step of dt = 1 rounds away: thousands of samples share
+    # the term's time, far more than the one-sample margin around it
+    w = ricker(25.0)
+    train = PulseTrain(REFLECTION, 2e20, (PulseTerm(1e20, 0.5, (1,)),
+                                          PulseTerm(1e20 + 16384.0, -0.25, (1,))))
+    got = convolve(train, w, 1e20, 1.0, 20000).samples
+    want = _convolve_every_sample(train, w, 1e20, 1.0, 20000)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got.count(0.5) > 1000
+
+
+@pytest.mark.parametrize("freq", [1e-2, 0.3, 1.0, 25.0, 199.7, 1e3, 1e4])
+def test_ricker_is_exactly_zero_from_its_radius(freq):
+    w = ricker(freq)
+    assert w.radius == math.sqrt(750.0) / (math.pi * freq)
+    for t in (w.radius * (1 + 1e-9), -w.radius * (1 + 1e-9), 1e153, -1e300):
+        assert w(t) == 0.0
+    # just inside the radius exp has already underflowed: the cut changes nothing
+    assert w(w.radius * (1 - 1e-9)) == 0.0
+
+
+@pytest.mark.parametrize("freq", [0.0, -1.0, math.inf, math.nan, 1e160])
+def test_ricker_rejects_frequencies_without_a_finite_wavelet(freq):
+    with pytest.raises(ValueError):
+        ricker(freq)
+
+
 def test_train_csv_round_trip():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     train = reflection_green(m, 4.0)
