@@ -89,6 +89,23 @@ def test_convert_round_trip(tmp_path):
     assert "-0.5" in text  # impedance jump 1 -> 3 at the deepest interface
 
 
+def test_out_replaces_longer_file_and_keeps_mode(small_medium, tmp_path):
+    out = tmp_path / "train.csv"
+    out.write_text("stale\n" * 1000)
+    out.chmod(0o640)
+    res = run("reflect", "--medium", small_medium, "--cutoff", "2", "--out", str(out))
+    assert res.returncode == 0
+    assert out.read_text() == run("reflect", "--medium", small_medium,
+                                  "--cutoff", "2").stdout
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_to_devnull(small_medium):
+    res = run("reflect", "--medium", small_medium, "--cutoff", "2", "--out", os.devnull)
+    assert res.returncode == 0
+    assert res.stdout == ""
+
+
 def test_oracle_pass_and_corrupt(small_medium):
     res = run("oracle", "--medium", small_medium, "--cutoff", "4")
     assert res.returncode == 0
