@@ -63,6 +63,21 @@ def layer_factor(kind: str, r: float, kn: int, ktn: int) -> float:
     return s
 
 
+class LayerFactors(dict):
+    """``layer_factor(kind, refls[n], k_n, k~_n)`` by key (n, k_n, k~_n),
+    each evaluated once, on first lookup."""
+
+    def __init__(self, kind: str, refls: Sequence[float]):
+        super().__init__()
+        self.kind = kind
+        self.refls = refls
+
+    def __missing__(self, key: Tuple[int, int, int]) -> float:
+        n, kn, ktn = key
+        s = self[key] = layer_factor(self.kind, self.refls[n], kn, ktn)
+        return s
+
+
 def _amplitude(kind: str, refls: Sequence[float], tv: TransitVector) -> float:
     if tv.kind != kind:
         raise InvalidTransitVector(f"expected {kind} kind, got {tv.kind}")

@@ -18,8 +18,8 @@ import time
 from contextlib import contextmanager
 from typing import Optional
 
-from . import goupillaud, greens, oracle, transit
-from .amplitudes import amplitude, class_count
+from . import goupillaud, greens, oracle
+from .amplitudes import class_count
 from .errors import LayeredEchoError, ParseError
 from .medium import Medium, read_medium, write_medium
 from .transit import REFLECTION, TRANSMISSION, TransitVector
@@ -121,15 +121,14 @@ def _cmd_oracle(args) -> int:
         # pad the walk budget so boundary arrivals cannot drop a class
         pad = args.cutoff * (1.0 + 1e-9) + 1e-12
         sums, counts = oracle.tally(medium, kind, pad, limit=args.limit)
-        enum = (transit.enumerate_reflection if kind == REFLECTION
-                else transit.enumerate_transmission)
-        n_vec = 0
-        for tv in enum(medium, args.cutoff):
-            n_vec += 1
-            closed = amplitude(medium.reflections, tv)
-            if args.corrupt and n_vec == 1:
+        build = (greens.reflection_green if kind == REFLECTION
+                 else greens.transmission_green)
+        terms = build(medium, args.cutoff).terms
+        for i, term in enumerate(terms):
+            closed = term.amplitude
+            if args.corrupt and i == 0:
                 closed += 1e-3  # test hook: force a detectable deviation
-            brute = sums.get(tv.k, 0.0)
+            brute = sums.get(term.k, 0.0)
             scale = max(abs(brute), abs(closed), 1e-300)
             worst = max(worst, abs(closed - brute) / scale)
         for (k, b), count in counts.items():
@@ -139,7 +138,7 @@ def _cmd_oracle(args) -> int:
                 mismatches += 1
                 print(f"class count mismatch {kind} k={k} b={b}: "
                       f"oracle {count} vs formula {expected}", file=sys.stderr)
-        print(f"{kind}: vectors={n_vec} classes={len(counts)}", file=sys.stderr)
+        print(f"{kind}: vectors={len(terms)} classes={len(counts)}", file=sys.stderr)
     print(f"max relative amplitude deviation: {worst:.3e}")
     print(f"class count mismatches: {mismatches}")
     if worst > tol or mismatches:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from . import transit
 # the amplitude functions stay importable from here, where callers look them up
-from .amplitudes import layer_factor, reflection_amplitude, transmission_amplitude
+from .amplitudes import LayerFactors, reflection_amplitude, transmission_amplitude
 from .errors import DomainError, ParseError
 from .medium import Medium
 from .transit import REFLECTION, TRANSMISSION, TransitVector
@@ -67,20 +67,9 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
                  amplitude_floor: float) -> PulseTrain:
     if not math.isfinite(cutoff):
         raise DomainError(f"cutoff must be finite, got {cutoff}")
-    arrivals = (transit.reflection_arrivals if kind == REFLECTION
-                else transit.transmission_arrivals)
-    refls = medium.reflections
-    factors = {}
-    rows = []
-    for k, time in arrivals(medium, cutoff):
-        amp = 1.0
-        for n, kn, ktn in zip(range(len(k)), k, k[1:] + (0,)):
-            s = factors.get((n, kn, ktn))
-            if s is None:
-                s = factors[n, kn, ktn] = layer_factor(kind, refls[n], kn, ktn)
-            amp *= s
-        rows.append((time, k, amp))
-    rows.sort()  # (time, k) order; k is unique, so amp never decides
+    terms_of = transit.reflection_terms if kind == REFLECTION else transit.transmission_terms
+    # (time, k, amp) rows in (time, k) order; k is unique, so amp never decides
+    rows = sorted(terms_of(medium, cutoff, LayerFactors(kind, medium.reflections)))
     terms = [PulseTerm(time, amp, k) for time, k, amp in rows]
     if amplitude_floor > 0.0:
         terms = [t for t in terms if abs(t.amplitude) >= amplitude_floor]
@@ -185,14 +174,17 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
     if n_samples < 1:
         raise DomainError("need at least one sample")
     samples = [0.0] * n_samples
+    n = float(n_samples)
     if wavelet == "spike":
         for term in train.terms:
-            idx = round((term.time - t0) / dt)
-            if 0 <= idx < n_samples:
-                samples[idx] += term.amplitude
+            q = (term.time - t0) / dt
+            # compare in float first: round() of an overflowed quotient raises
+            if -1.0 < q < n:
+                idx = round(q)
+                if 0 <= idx < n_samples:
+                    samples[idx] += term.amplitude
     else:
         radius = getattr(wavelet, "radius", math.inf)
-        n = float(n_samples)
         for term in train.terms:
             tj, aj = term.time, term.amplitude
             # clamp in float: int() of a huge or infinite quotient would overflow

@@ -16,6 +16,14 @@ layer n); an excursion that goes strictly deeper than n marks a branch
 point at n.  For transmission walks the final excursion at each depth is
 the trunk and is excluded from both counts.
 
+One depth-first search, ``walks``, lists the walks.  It carries each
+walk's weight as a running product of visit factors and its k and b
+counts as it goes, so ``tally`` sums weights and counts classes without
+building a ``ScatteringSequence`` per walk or walking one twice;
+``enumerate_sequences`` wraps the same search.  ``stats`` and ``weight``
+read the same quantities off a finished ``ScatteringSequence`` and are the
+per-sequence reference the tests compare the search against.
+
 This module is exponential by design -- it exists to validate the closed
 forms at desk scale -- and guards itself with a sequence-count budget.
 """
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import DomainError, EnumerationLimitExceeded, InvalidSequence
 from .medium import Medium
@@ -140,88 +148,107 @@ def leg_time(seq: ScatteringSequence, medium: Medium) -> float:
     return t
 
 
-def enumerate_sequences(medium: Medium, kind: str, cutoff: float,
-                        limit: int = DEFAULT_SEQUENCE_LIMIT
-                        ) -> Iterator[ScatteringSequence]:
-    """Yield every walk of the given kind arriving by the cutoff, once each.
+def walks(medium: Medium, kind: str, cutoff: float,
+          limit: int = DEFAULT_SEQUENCE_LIMIT) -> Iterator[tuple]:
+    """Yield (path, k, b, weight) for every walk of the given kind arriving
+    by the cutoff, once each.
 
-    DFS with time-budget pruning: a branch is abandoned as soon as the time
-    spent plus the cheapest exit exceeds the cutoff.  Raises
-    EnumerationLimitExceeded past ``limit`` emitted sequences.
+    Depth-first search with time-budget pruning: a branch is abandoned as
+    soon as the time spent plus the cheapest exit exceeds the cutoff.  The
+    search carries what ``stats`` reads off a finished walk: the weight is
+    the product of the per-visit factors, multiplied left to right as
+    ``weight()`` multiplies them, and ``k``/``b`` are the transit and branch
+    count tuples.  ``path`` is the live list of depths, valid until the next
+    walk is requested.  Raises EnumerationLimitExceeded past ``limit`` walks
+    and DomainError for a non-finite cutoff.
     """
     if not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
     m = medium.n_layers
-    taus = medium.all_taus
-    half = [0.5 * t for t in taus]
+    refls = medium.reflections
+    neg = [-r for r in refls]
+    trans = [math.sqrt(1.0 - r * r) for r in refls]
+    half = [0.5 * t for t in medium.all_taus]
+    exit_cost = [0.0] * (m + 1)
+    acc = 0.0
     if kind == REFLECTION:
         # exit_cost[v]: time to climb from interface v back to -1
-        exit_cost = [0.0] * (m + 1)
-        acc = 0.0
         for v in range(m + 1):
             acc += half[v]
             exit_cost[v] = acc
-        top, end_at = -1, -1
+        k, b = (1,) + (0,) * m, (0,) * (m + 1)
     elif kind == TRANSMISSION:
         # exit_cost[v]: time to descend from interface v to M+1
-        exit_cost = [0.0] * (m + 1)
-        acc = 0.0
         for v in range(m, -1, -1):
             acc += half[v + 1]
             exit_cost[v] = acc
-        top, end_at = 0, m + 1
+        # one excursion per level is the trunk; it counts in neither k nor b
+        k, b = (0,) + (-1,) * m, (-1,) * (m + 1)
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    reflection = kind == REFLECTION
+    t0 = half[0]
+    if t0 + exit_cost[0] > cutoff:
+        return
 
     emitted = 0
-    path = [-1, 0]
-
-    def emit():
-        nonlocal emitted
+    path = [-1]
+    # (interface v, the one before it, time on arrival at v, product of the
+    # factors of the visits before v, k, b, index of v in the path)
+    stack = [(0, -1, t0, 1.0, k, b, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        v, prev, t, w, k, b, d = pop()
+        del path[d:]
+        path.append(v)
+        # the visit factor of v: a bounce back to the side it came from is
+        # R_v from above and -R_v from below, a pass-through is T_v
+        came_down = prev == v - 1
+        w_up = w * (refls[v] if came_down else trans[v])
+        w_down = w * (trans[v] if came_down else neg[v])
+        # stepping down opens an excursion below v; it is a branch of the
+        # excursion at v unless that one has been deeper already
+        b_down = b[:v] + (b[v] + 1,) + b[v + 1:] if came_down else b
+        if reflection:
+            if v < m:
+                t2 = t + half[v + 1]
+                if t2 + exit_cost[v + 1] <= cutoff:
+                    push((v + 1, v, t2, w_down, k[:v + 1] + (k[v + 1] + 1,) + k[v + 2:],
+                          b_down, d + 1))
+            if v:
+                push((v - 1, v, t + half[v], w_up, k, b, d + 1))
+                continue
+            path.append(-1)
+            item = path, k, b, w_up
+        else:
+            if v:
+                t2 = t + half[v]
+                if t2 + exit_cost[v - 1] <= cutoff:
+                    push((v - 1, v, t2, w_up, k, b, d + 1))
+            if v < m:
+                t2 = t + half[v + 1]
+                if t2 + exit_cost[v + 1] <= cutoff:
+                    push((v + 1, v, t2, w_down, k[:v + 1] + (k[v + 1] + 1,) + k[v + 2:],
+                          b_down, d + 1))
+                continue
+            path.append(m + 1)
+            item = path, k, b_down, w_down
         emitted += 1
         if emitted > limit:
             raise EnumerationLimitExceeded(
                 f"more than {limit} sequences below cutoff {cutoff}")
-        return ScatteringSequence(tuple(path), kind)
+        yield item
 
-    def walk(v: int, t: float):
-        # invariant: t + exit_cost[v] <= cutoff
-        if kind == REFLECTION:
-            if v == 0:
-                path.append(-1)
-                yield emit()
-                path.pop()
-            else:
-                path.append(v - 1)
-                yield from walk(v - 1, t + half[v])
-                path.pop()
-            if v < m:
-                t2 = t + half[v + 1]
-                if t2 + exit_cost[v + 1] <= cutoff:
-                    path.append(v + 1)
-                    yield from walk(v + 1, t2)
-                    path.pop()
-        else:
-            if v == m:
-                path.append(m + 1)
-                yield emit()
-                path.pop()
-            else:
-                t2 = t + half[v + 1]
-                if t2 + exit_cost[v + 1] <= cutoff:
-                    path.append(v + 1)
-                    yield from walk(v + 1, t2)
-                    path.pop()
-            if v > 0:
-                t2 = t + half[v]
-                if t2 + exit_cost[v - 1] <= cutoff:
-                    path.append(v - 1)
-                    yield from walk(v - 1, t2)
-                    path.pop()
 
-    t0 = half[0]
-    if t0 + exit_cost[0] <= cutoff:
-        yield from walk(0, t0)
+def enumerate_sequences(medium: Medium, kind: str, cutoff: float,
+                        limit: int = DEFAULT_SEQUENCE_LIMIT
+                        ) -> Iterator[ScatteringSequence]:
+    """Yield every walk of the given kind arriving by the cutoff, once each,
+    in the order of ``walks``.  Raises EnumerationLimitExceeded past
+    ``limit`` emitted sequences.
+    """
+    return (ScatteringSequence(tuple(path), kind)
+            for path, _, _, _ in walks(medium, kind, cutoff, limit))
 
 
 def tally(medium: Medium, kind: str, cutoff: float,
@@ -229,10 +256,9 @@ def tally(medium: Medium, kind: str, cutoff: float,
     """One walk pass: (weight_sums_by_vector, class_counts) of the same walks."""
     sums: Dict[Tuple[int, ...], float] = {}
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for seq in enumerate_sequences(medium, kind, cutoff, limit):
-        st = stats(seq, medium)
-        sums[st.k.k] = sums.get(st.k.k, 0.0) + st.weight
-        key = (st.k.k, st.b)
+    for _, k, b, w in walks(medium, kind, cutoff, limit):
+        sums[k] = sums.get(k, 0.0) + w
+        key = k, b
         counts[key] = counts.get(key, 0) + 1
     return sums, counts
 

@@ -12,7 +12,9 @@ remaining time budget, so the cost is proportional to the number of
 vectors emitted.  Vectors are yielded in DFS order; sorting by arrival
 time is the consumer's job.  Arrival times are accumulated strictly
 left to right (k_0*tau_0 first) so that term counts at a given cutoff
-are deterministic and reproducible.
+are deterministic and reproducible.  The same search carries the
+amplitude: each time it fixes k_{n+1} it multiplies the per-layer factor
+s_n(k_n, k_{n+1}) into a running product.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector
 from .medium import Medium
@@ -125,64 +127,96 @@ def transmission_arrival(k: Sequence[int], medium: Medium) -> float:
     return t
 
 
-def reflection_arrivals(medium: Medium, cutoff: float) -> Iterator[tuple]:
-    """Yield (k, reflection_arrival(k)) for every k with <k, tau> <= cutoff.
+class _UnitFactors(dict):
+    """Every per-layer factor 1.0, for enumerations that drop the amplitude."""
+
+    def __missing__(self, key) -> float:
+        return 1.0
+
+
+_UNIT_FACTORS = _UnitFactors()
+
+
+def reflection_terms(medium: Medium, cutoff: float,
+                     factors: Mapping) -> Iterator[Tuple[float, Tuple[int, ...], float]]:
+    """Yield (reflection_arrival(k), k, amplitude) for every k with <k, tau> <= cutoff.
 
     DFS order; the cutoff comparison is inclusive.  Empty if cutoff < tau_0.
+    ``factors[n, k_n, k_{n+1}]`` is the per-layer factor s_n (see
+    ``amplitudes.LayerFactors``).  The search multiplies s_n into a running
+    product as soon as it fixes k_{n+1}, so the amplitude is the product of
+    s_0 .. s_M in that order.  Past the support of k the factors are s(0, 0),
+    exactly 1.0 for reflection, and are not multiplied in.
     """
     taus = medium.layer_taus
     m1 = len(taus)
     t0 = 1 * taus[0]
     if t0 > cutoff:
         return
-
-    def walk(n: int, prefix: Tuple[int, ...], t: float):
-        yield prefix + (0,) * (m1 - n), t
+    # (index n of the next entry to fix, k_0 .. k_{n-1}, time so far,
+    # s_0 * .. * s_{n-2}); an explicit stack, so a yield costs O(1) at any depth
+    stack = [(1, (1,), t0, 1.0)]
+    pop = stack.pop
+    while stack:
+        n, prefix, t, amp = pop()
+        kp = prefix[-1]
+        yield t, prefix + (0,) * (m1 - n), amp * factors[n - 1, kp, 0]
         if n < m1:
+            tau = taus[n]
+            children = []
             kn = 1
             while True:
-                tn = t + kn * taus[n]
+                tn = t + kn * tau
                 if tn > cutoff:
                     break
-                yield from walk(n + 1, prefix + (kn,), tn)
+                children.append((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
                 kn += 1
+            children.reverse()
+            stack += children
 
-    yield from walk(1, (1,), t0)
 
-
-def transmission_arrivals(medium: Medium, cutoff: float) -> Iterator[tuple]:
-    """Yield (k, transmission_arrival(k)) for every k arriving by the cutoff.
+def transmission_terms(medium: Medium, cutoff: float,
+                       factors: Mapping) -> Iterator[Tuple[float, Tuple[int, ...], float]]:
+    """Yield (transmission_arrival(k), k, amplitude) for every k arriving by the cutoff.
 
     Arrival = |tau'|/2 + <k, tau>, inclusive comparison; empty if the direct
-    arrival already exceeds the cutoff.
+    arrival already exceeds the cutoff.  The amplitude is the product of
+    ``factors[n, k_n, k_{n+1}]`` over n = 0..M, multiplied in that order as
+    in ``reflection_terms``.
     """
     taus = medium.layer_taus
     m1 = len(taus)
     base = half_total_time(medium)
     if base > cutoff:
         return
-
-    def walk(n: int, prefix: Tuple[int, ...], t: float):
+    stack = [(1, (0,), base, 1.0)]
+    pop = stack.pop
+    while stack:
+        n, prefix, t, amp = pop()
+        kp = prefix[-1]
         if n == m1:
-            yield prefix, t
-            return
+            yield t, prefix, amp * factors[n - 1, kp, 0]
+            continue
+        tau = taus[n]
+        children = []
         kn = 0
         while True:
-            tn = t + kn * taus[n]
+            tn = t + kn * tau
             if tn > cutoff:
                 break
-            yield from walk(n + 1, prefix + (kn,), tn)
+            children.append((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
             kn += 1
-
-    yield from walk(1, (0,), base)
+        children.reverse()
+        stack += children
 
 
 def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every reflection transit vector with <k, tau> <= cutoff, once each."""
-    return (TransitVector(k, REFLECTION) for k, _ in reflection_arrivals(medium, cutoff))
+    return (TransitVector(k, REFLECTION)
+            for _, k, _ in reflection_terms(medium, cutoff, _UNIT_FACTORS))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every transmission transit vector arriving by the cutoff, once each."""
     return (TransitVector(k, TRANSMISSION)
-            for k, _ in transmission_arrivals(medium, cutoff))
+            for _, k, _ in transmission_terms(medium, cutoff, _UNIT_FACTORS))

@@ -134,6 +134,17 @@ def test_render_spike(small_medium, tmp_path):
         "time,value", "0,0", "0.5,0", "1,0.5", "1.5,0", "2,0.375"]
 
 
+def test_render_spike_with_overflowing_bin_index_is_all_zero(small_medium, tmp_path):
+    train = tmp_path / "train.csv"
+    run("reflect", "--medium", small_medium, "--cutoff", "2", "--out", str(train))
+    # (time - t0) / dt overflows to inf for every term
+    res = run("render", "--train", str(train), "--wavelet", "spike",
+              "--dt", "1e-310", "--n", "3")
+    assert res.returncode == 0
+    assert "Traceback" not in res.stderr
+    assert [row.split(",")[1] for row in res.stdout.splitlines()[1:]] == ["0", "0", "0"]
+
+
 def test_render_bad_wavelet(small_medium, tmp_path):
     train = tmp_path / "train.csv"
     run("reflect", "--medium", small_medium, "--cutoff", "2", "--out", str(train))

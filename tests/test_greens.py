@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import random
@@ -20,7 +21,7 @@ from layered_echo import (
 )
 from layered_echo.amplitudes import amplitude
 from layered_echo.greens import read_train_csv, write_signal_csv
-from layered_echo.oracle import enumerate_sequences, stats
+from layered_echo.oracle import enumerate_sequences, stats, tally
 from layered_echo.transit import (
     TRANSMISSION,
     enumerate_transmission,
@@ -87,6 +88,24 @@ def test_amplitude_floor():
     assert all(abs(t.amplitude) >= 0.1 for t in floored.terms)
 
 
+def test_builds_leave_no_reference_cycles():
+    # rows held in a reference cycle (say, by a recursive closure) would stay
+    # alive until the next full collection
+    m = make_medium((0.3, 0.2, 0.25, 0.4), 0.0, (0.4, -0.3, 0.2, 0.5))
+    gc.collect()
+    gc.disable()
+    try:
+        trains = [reflection_green(m, 6.5), transmission_green(m, 6.5)]
+        sums, counts = tally(m, REFLECTION, 2.6)
+        sizes = [len(t) for t in trains] + [sum(counts.values())]
+        del trains, sums, counts
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert min(sizes) >= 2000
+    assert freed < 100
+
+
 def test_merge_no_ties_is_identity():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     train = reflection_green(m, 2.0)
@@ -141,6 +160,14 @@ def test_convolve_spike():
     train = PulseTrain(REFLECTION, 2.0, (PulseTerm(1.0, 1.0, (1,)),))
     sig = convolve(train, "spike", 0.0, 0.5, 5)
     assert sig.samples == (0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def test_convolve_spike_skips_terms_whose_bin_index_overflows():
+    terms = (PulseTerm(-1.5e308, 4.0, (1, 2)), PulseTerm(1.0, 1.0, (1,)),
+             PulseTerm(1.5e308, 2.0, (1, 1)))
+    # (time - t0) / dt is -inf and +inf for the outer terms
+    sig = convolve(PulseTrain(REFLECTION, 2e308, terms), "spike", 0.0, 0.5, 4)
+    assert sig.samples == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_convolve_empty_train():

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layered_echo import (
+    DomainError,
     EnumerationLimitExceeded,
     InvalidSequence,
     REFLECTION,
@@ -22,9 +24,12 @@ from layered_echo.oracle import (
     enumerate_sequences,
     leg_time,
     stats,
+    tally,
+    walks,
     weight,
     weight_sums_by_vector,
 )
+from layered_echo.transit import half_total_time
 
 
 def rpath(*depths):
@@ -198,3 +203,87 @@ def test_weight_sums_match_closed_form_per_vector():
     for tv in enumerate_reflection(m, 8.0):
         closed = reflection_amplitude(m.reflections, tv)
         assert sums[tv.k] == pytest.approx(closed, rel=1e-10, abs=1e-15)
+
+
+def _reference_paths(medium, kind, cutoff):
+    """The walks as a recursive DFS lists them, one path tuple each: the
+    order ``walks`` must keep."""
+    m = medium.n_layers
+    half = [0.5 * t for t in medium.all_taus]
+    # exit_cost[v]: time from interface v to the receiver
+    exit_cost, acc = [0.0] * (m + 1), 0.0
+    for v in (range(m + 1) if kind == REFLECTION else range(m, -1, -1)):
+        acc += half[v] if kind == REFLECTION else half[v + 1]
+        exit_cost[v] = acc
+    path = [-1, 0]
+
+    def visit(v, t):
+        if kind == REFLECTION:
+            if v == 0:
+                yield tuple(path) + (-1,)
+            else:
+                yield from step(v - 1, t + half[v])
+            if v < m and t + half[v + 1] + exit_cost[v + 1] <= cutoff:
+                yield from step(v + 1, t + half[v + 1])
+        else:
+            if v == m:
+                yield tuple(path) + (m + 1,)
+            elif t + half[v + 1] + exit_cost[v + 1] <= cutoff:
+                yield from step(v + 1, t + half[v + 1])
+            if v > 0 and t + half[v] + exit_cost[v - 1] <= cutoff:
+                yield from step(v - 1, t + half[v])
+
+    def step(v, t):
+        path.append(v)
+        yield from visit(v, t)
+        path.pop()
+
+    if half[0] + exit_cost[0] <= cutoff:
+        yield from visit(0, half[0])
+
+
+@st.composite
+def _walk_cases(draw):
+    m = draw(st.integers(1, 3))
+    # travel times within a factor 1.5 of each other, so that every layer
+    # takes part in the reverberations
+    base = draw(st.floats(0.1, 1.0))
+    taus = [base * x for x in draw(st.lists(st.floats(1.0, 1.5), min_size=m + 1,
+                                            max_size=m + 1))]
+    refls = draw(st.lists(st.floats(-0.95, 0.95), min_size=m + 1, max_size=m + 1))
+    medium = make_medium(tuple(taus), draw(st.floats(0.0, 1.0)), tuple(refls))
+    kind = draw(st.sampled_from([REFLECTION, TRANSMISSION]))
+    start = taus[0] if kind == REFLECTION else half_total_time(medium)
+    # walk budget: at most 8 round trips past the first arrival, so at most
+    # about 4 200 walks (the most when all travel times are equal)
+    cutoff = start + (8.0 - draw(st.integers(0, 800)) / 100) * min(taus)
+    return medium, kind, cutoff
+
+
+@settings(max_examples=100, deadline=None)
+@given(_walk_cases())
+def test_walks_match_the_per_sequence_reference(case):
+    medium, kind, cutoff = case
+    got = [(tuple(path), k, b, w) for path, k, b, w in walks(medium, kind, cutoff)]
+    expected = list(_reference_paths(medium, kind, cutoff))
+    assert [path for path, _, _, _ in got] == expected
+    sequences = list(enumerate_sequences(medium, kind, cutoff))
+    assert [seq.depths for seq in sequences] == expected
+    sums, counts = {}, {}
+    for (_, k, b, w), seq in zip(got, sequences):
+        ref = stats(seq, medium)
+        assert (k, b, w.hex()) == (ref.k.k, ref.b, weight(seq, medium.reflections).hex())
+        sums[ref.k.k] = sums.get(ref.k.k, 0.0) + ref.weight
+        counts[ref.k.k, ref.b] = counts.get((ref.k.k, ref.b), 0) + 1
+    got_sums, got_counts = tally(medium, kind, cutoff)
+    assert [(k, s.hex()) for k, s in got_sums.items()] == [(k, s.hex()) for k, s in sums.items()]
+    assert list(got_counts.items()) == list(counts.items())
+    if got:
+        with pytest.raises(EnumerationLimitExceeded):
+            tally(medium, kind, cutoff, limit=len(got) - 1)
+        assert sum(tally(medium, kind, cutoff, limit=len(got))[1].values()) == len(got)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            tally(medium, kind, bad)
+        with pytest.raises(DomainError):
+            next(enumerate_sequences(medium, kind, bad))
