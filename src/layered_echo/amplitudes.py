@@ -13,14 +13,20 @@ for transmission.  Every factor is a per-index product and the branch set
 is a Cartesian product of per-index ranges, so the whole sum factorizes
 into a product over indices of small one-dimensional sums.  That is how
 it is evaluated here: per index n, sum the n-th factor over the admissible
-b_n, then multiply the per-index sums.  This keeps intermediate magnitudes
-bounded (binomials are always paired with the compensating powers of R_n)
-and costs O(sum of range lengths) per vector instead of the size of the
-full branch set.
+b_n, then multiply the per-index sums.  This costs O(sum of range lengths)
+per vector instead of the size of the full branch set.
 
-T_n^2 is evaluated as 1 - R_n^2 directly, avoiding a sqrt round trip; the
-odd power in the transmission case contributes one sqrt(1 - R_n^2) factor
-per index.
+The terms of a per-index sum alternate in sign, and at large transit
+counts their magnitudes (binomials of order 2^(k_n + k~_n) times powers of
+R_n and T_n^2) far exceed the sum, so a float sum cancels.  The float sum
+is kept when the sum of the term magnitudes is at most CANCEL_LIMIT times
+the magnitude of the sum.  Otherwise, and when the binomials would not fit
+a float or a power of R_n or T_n^2 in a term would lose bits to underflow,
+the sum is evaluated exactly in integers and rounded once.
+
+In the float sum T_n^2 is evaluated as 1 - R_n^2 directly, avoiding a sqrt
+round trip; the odd power in the transmission case contributes one
+sqrt(1 - R_n^2) factor per index.
 """
 
 from __future__ import annotations
@@ -47,6 +53,18 @@ def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
             raise ReflectionOutOfRange(f"R_{n} = {r} outside (-1, 1)")
 
 
+# Largest sum of term magnitudes over |sum| for which the float sum is kept.
+# A float term is off by at most about (k_n + k~_n + 9) / T_n^2 units of
+# 2^-53 (T_n^2 is rounded once and raised to the b-th power), so a kept sum
+# is off by at most CANCEL_LIMIT times that.  bench10's worst ratio is 8.7e3.
+CANCEL_LIMIT = 2.0 ** 15
+# The float terms need C(k_n, b) C(k~_n, b) <= 2^(k_n + k~_n) to fit a float,
+# and R_n^(k_n + k~_n - 2 u_n) T_n^(2 min(k_n, k~_n)), below every product
+# of powers in a term, to stay clear of the subnormal range.
+_FLOAT_K = 1000
+_FLOAT_TINY = 2.0 ** -1000
+
+
 def layer_factor(kind: str, r: float, kn: int, ktn: int) -> float:
     """Per-index factor s_n(R_n, k_n, k~_n); the amplitude of k is their
     product over n = 0..M, multiplied in that order."""
@@ -55,12 +73,37 @@ def layer_factor(kind: str, r: float, kn: int, ktn: int) -> float:
         un, tn = min(1, ktn), 1.0
     else:
         un, tn = 0, math.sqrt(t2)
-    s = 0.0
-    for b in range(un, min(kn, ktn) + 1):
-        c = math.comb(kn, b) * math.comb(ktn - un, b - un)
-        sign = -1.0 if (ktn - b) & 1 else 1.0
-        s += c * sign * r ** (ktn - b + kn - b) * t2 ** b * tn
-    return s
+    hi = min(kn, ktn)
+    if (kn + ktn <= _FLOAT_K
+            and abs(r) ** max(0, kn + ktn - 2 * un) * t2 ** hi >= _FLOAT_TINY):
+        s = size = 0.0
+        for b in range(un, hi + 1):
+            c = math.comb(kn, b) * math.comb(ktn - un, b - un)
+            sign = -1.0 if (ktn - b) & 1 else 1.0
+            term = c * sign * r ** (ktn - b + kn - b) * t2 ** b * tn
+            s += term
+            size += abs(term)
+        if size <= CANCEL_LIMIT * abs(s):
+            return s
+    return _exact_sum(r, kn, ktn, un) * tn
+
+
+def _exact_sum(r: float, kn: int, ktn: int, un: int) -> float:
+    """The per-index sum without the factor T_n of transmission, computed
+    exactly and rounded once.  R_n = p / q with q a power of two, and
+    T_n^2 = (q^2 - p^2) / q^2, so every term is an integer over q^(k_n + k~_n):
+    the sum over b of C(k_n, b) C(k~_n - u_n, b - u_n) (-1)^(k~_n - b)
+    p^(k_n + k~_n - 2b) (q^2 - p^2)^b, taken by Horner's rule in p^2."""
+    p, q = r.as_integer_ratio()
+    p2 = p * p
+    t2 = q * q - p2
+    hi = min(kn, ktn)
+    total, t2b = 0, t2 ** un
+    for b in range(un, hi + 1):
+        term = math.comb(kn, b) * math.comb(ktn - un, b - un) * t2b
+        total = total * p2 + (-term if (ktn - b) & 1 else term)
+        t2b *= t2
+    return total * p ** (kn + ktn - 2 * hi) / q ** (kn + ktn)  # correctly rounded
 
 
 class LayerFactors(dict):

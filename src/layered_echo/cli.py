@@ -4,13 +4,14 @@ Subcommands: reflect, transmit, convert, oracle, lattice, render.
 Pulse trains and sampled signals go to stdout (or --out) as CSV; summary
 metrics go to stderr so stdout stays pipeline-clean.  Exit codes: 0 on
 success, 1 on verification failure (oracle/lattice deviation), 2 on
-usage, parse or validation errors.
+usage, parse or validation errors and on any failure to read or write a
+file or pipe.  The subcommands raise; ``main`` alone turns a
+``LayeredEchoError`` or ``OSError`` into one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import stat
 import sys
@@ -20,14 +21,16 @@ from typing import Optional
 
 from . import goupillaud, greens, oracle
 from .amplitudes import class_count
-from .errors import LayeredEchoError, ParseError
-from .medium import Medium, read_medium, write_medium
+from .errors import DomainError, LayeredEchoError
+from .medium import read_medium, write_medium
 from .transit import REFLECTION, TRANSMISSION, TransitVector
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
+# --threads and $LAYERED_ECHO_THREADS are accepted and have no effect; the
+# benchmark worker records this default with its machine facts
 THREADS_ENV = "LAYERED_ECHO_THREADS"
 
 
@@ -59,12 +62,6 @@ def _open_out(path: Optional[str]):
                 fh.truncate()
 
 
-def _load_medium(path: str) -> Medium:
-    if not os.path.exists(path):
-        raise LayeredEchoError(f"medium file not found: {path}")
-    return read_medium(path)
-
-
 def _parse_wavelet(spec: str):
     if spec == "spike":
         return "spike"
@@ -78,11 +75,12 @@ def _parse_wavelet(spec: str):
 
 
 def _run_train(args, kind: str) -> int:
-    medium = _load_medium(args.medium)
+    if not (args.cutoff > 0):
+        raise DomainError("--cutoff must be positive")
+    medium = read_medium(args.medium)
     start = time.perf_counter()
     build = greens.reflection_green if kind == REFLECTION else greens.transmission_green
-    train = build(medium, args.cutoff,
-                  amplitude_floor=args.floor, threads=args.threads)
+    train = build(medium, args.cutoff, amplitude_floor=args.floor)
     if args.merge_tol is not None:
         train = greens.merge_ties(train, args.merge_tol)
     wall = time.perf_counter() - start
@@ -105,14 +103,14 @@ def _cmd_transmit(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    medium = _load_medium(args.medium)
+    medium = read_medium(args.medium)
     with _open_out(args.out) as fh:
         fh.write(write_medium(medium))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    medium = _load_medium(args.medium)
+    medium = read_medium(args.medium)
     kinds = [args.kind] if args.kind else [REFLECTION, TRANSMISSION]
     tol = args.tol
     worst = 0.0
@@ -147,7 +145,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    medium = _load_medium(args.medium)
+    medium = read_medium(args.medium)
     result = goupillaud.simulate(medium, args.steps)
     period = result.period
     worst = 0.0
@@ -175,14 +173,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if not os.path.exists(args.train):
-        raise LayeredEchoError(f"train CSV not found: {args.train}")
-    try:
-        with open(args.train, "r", encoding="ascii") as fh:
-            train = greens.read_train_csv(fh)
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ParseError(f"non-ASCII byte {byte:#04x} in train CSV {args.train}") from None
+    with open(args.train, "r", encoding="ascii") as fh:
+        train = greens.read_train_csv(fh)
     wavelet = _parse_wavelet(args.wavelet)
     signal = greens.convolve(train, wavelet, args.t0, args.dt, args.n)
     with _open_out(args.out) as fh:
@@ -200,8 +192,7 @@ def _add_common_train_args(p):
     p.add_argument("--floor", type=float, default=0.0,
                    help="drop terms with |amplitude| below this (default keep all)")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"accepted and has no effect (default ${THREADS_ENV} "
-                        "or available cores)")
+                   help="accepted and has no effect")
     p.add_argument("--with-k", action="store_true", dest="with_k",
                    help="emit the transit vector provenance column")
 
@@ -255,18 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = _default_threads()
-    if getattr(args, "cutoff", None) is not None and args.command in (
-            "reflect", "transmit") and not (args.cutoff > 0):
-        print("error: --cutoff must be positive", file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except LayeredEchoError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except (LayeredEchoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            try:
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # stdout's reader has gone: send what is still buffered to
+                # devnull, or the interpreter's flush at exit fails again
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -21,7 +21,7 @@ conventions end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import DomainError, UnequalTaus
 from .medium import Medium

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, TextIO, Tuple
 
 from . import transit
 # the amplitude functions stay importable from here, where callers look them up
 from .amplitudes import LayerFactors, reflection_amplitude, transmission_amplitude
 from .errors import DomainError, ParseError
-from .medium import Medium
-from .transit import REFLECTION, TRANSMISSION, TransitVector
+from .medium import Medium, _fmt
+from .transit import REFLECTION, TRANSMISSION
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
                  amplitude_floor: float) -> PulseTrain:
     if not math.isfinite(cutoff):
         raise DomainError(f"cutoff must be finite, got {cutoff}")
+    if math.isnan(amplitude_floor):
+        raise DomainError("amplitude floor must not be nan")
     terms_of = transit.reflection_terms if kind == REFLECTION else transit.transmission_terms
     # (time, k, amp) rows in (time, k) order; k is unique, so amp never decides
     rows = sorted(terms_of(medium, cutoff, LayerFactors(kind, medium.reflections)))
@@ -101,8 +103,8 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
     the lexicographically smallest contributing transit vector, and sums
     the amplitudes.  tol_rel = 0 merges only bit-identical times.
     """
-    if tol_rel < 0:
-        raise DomainError("tol_rel must be >= 0")
+    if not (tol_rel >= 0):
+        raise DomainError(f"tol_rel must be >= 0, got {tol_rel}")
     if not train.terms:
         return train
     floor = train.terms[0].time
@@ -201,10 +203,6 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
     return SampledSignal(t0, dt, tuple(samples))
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> None:
     """Emit `time,amplitude[,k]` rows, times/amplitudes at 17 significant digits."""
     if with_k:
@@ -223,25 +221,30 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     """Parse a train CSV from write_train_csv (k optional).
 
     A malformed row, or one whose time or amplitude is not finite, raises
-    ParseError with its line number.
+    ParseError with its line number; a byte the stream cannot decode
+    raises ParseError naming the stream.
     """
-    header = stream.readline().strip().split(",")
     terms = []
-    for line_no, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            k: Tuple[int, ...] = ()
-            if len(fields) >= 3 and "k" in header:
-                k = tuple(int(x) for x in fields[2].split("|"))
-            time, amp = float(fields[0]), float(fields[1])
-        except (ValueError, IndexError):
-            raise ParseError(f"malformed train row {line!r}", line_no) from None
-        if not (math.isfinite(time) and math.isfinite(amp)):
-            raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
-        terms.append(PulseTerm(time, amp, k))
+    try:
+        header = stream.readline().strip().split(",")
+        for line_no, line in enumerate(stream, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            try:
+                k: Tuple[int, ...] = ()
+                if len(fields) >= 3 and "k" in header:
+                    k = tuple(int(x) for x in fields[2].split("|"))
+                time, amp = float(fields[0]), float(fields[1])
+            except (ValueError, IndexError):
+                raise ParseError(f"malformed train row {line!r}", line_no) from None
+            if not (math.isfinite(time) and math.isfinite(amp)):
+                raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
+            terms.append(PulseTerm(time, amp, k))
+    except UnicodeDecodeError as exc:
+        where = getattr(stream, "name", "train CSV")
+        raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None
     return PulseTrain(kind, cutoff, tuple(terms))
 
 

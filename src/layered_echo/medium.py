@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, TextIO, Union
 
 from .errors import (
     InvalidProfile,

@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from layered_echo import (
     InvalidTransitVector,
@@ -14,7 +17,13 @@ from layered_echo import (
     reflection_amplitude,
     transmission_amplitude,
 )
-from layered_echo.amplitudes import branch_summand, class_count, class_weight
+from layered_echo.amplitudes import (
+    CANCEL_LIMIT,
+    branch_summand,
+    class_count,
+    class_weight,
+    layer_factor,
+)
 from layered_echo.transit import left_shift
 
 
@@ -185,3 +194,41 @@ def test_amplitudes_always_finite(bench10):
     for tv in enumerate_reflection(bench10, 3.0):
         a = reflection_amplitude(bench10.reflections, tv)
         assert math.isfinite(a)
+
+
+def _exact_layer_sum(kind, r, kn, ktn):
+    """The per-index sum in exact rationals, without the factor T_n of
+    transmission: R_n is the float r exactly and T_n^2 = 1 - R_n^2."""
+    rr = Fraction(r)
+    t2 = 1 - rr * rr
+    un = min(1, ktn) if kind == REFLECTION else 0
+    terms = [math.comb(kn, b) * math.comb(ktn - un, b - un) * (-1) ** (ktn - b)
+             * rr ** (ktn - b + kn - b) * t2 ** b
+             for b in range(un, min(kn, ktn) + 1)]
+    # every denominator divides q^(k_n + k~_n): one sum of numerators
+    den = rr.denominator ** (kn + ktn)
+    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from([REFLECTION, TRANSMISSION]),
+       # a tiny |R| only makes the reference's numbers huge: 2^-10 to the
+       # 1200th power still underflows, and 0.0 is covered
+       r=st.one_of(st.just(0.0), st.floats(2.0 ** -10, 0.95), st.floats(-0.95, -(2.0 ** -10))),
+       kn=st.integers(0, 600), ktn=st.integers(0, 600))
+@example(kind=REFLECTION, r=0.5, kn=40, ktn=40)
+@example(kind=REFLECTION, r=0.5, kn=80, ktn=80)
+@example(kind=TRANSMISSION, r=0.5, kn=80, ktn=80)
+@example(kind=REFLECTION, r=0.5, kn=520, ktn=520)
+@example(kind=TRANSMISSION, r=-0.95, kn=600, ktn=600)
+# R^63 is subnormal
+@example(kind=REFLECTION, r=1e-5, kn=64, ktn=1)
+# binomials past the float range with every power of R and T^2 a normal float
+@example(kind=REFLECTION, r=0.685, kn=1000, ktn=310)
+def test_layer_factor_survives_cancellation(kind, r, kn, ktn):
+    tn = 1.0 if kind == REFLECTION else math.sqrt(1.0 - r * r)
+    want = float(_exact_layer_sum(kind, r, kn, ktn)) * tn
+    got = layer_factor(kind, r, kn, ktn)
+    # a float sum is kept only within CANCEL_LIMIT of its term magnitudes
+    ulps = CANCEL_LIMIT * (kn + ktn + 9) / (1.0 - r * r) + 4
+    assert abs(got - want) <= ulps * 2.0 ** -53 * abs(want)

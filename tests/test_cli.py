@@ -256,3 +256,48 @@ def test_render_bench10_ricker_signal_is_pinned(tmp_path, kind, cutoff, render_a
     res = run("render", "--train", str(train), "--wavelet", "ricker:25", *render_args)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
+
+
+def assert_one_error_line(res, path=None):
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    if path is not None:
+        assert path in lines[0]
+
+
+@pytest.mark.parametrize("case", ["medium-dir", "train-dir", "out-missing-dir", "out-dir"])
+def test_unreadable_input_or_unwritable_out_is_usage_error(tmp_path, case):
+    missing = str(tmp_path / "missing" / "x.csv")
+    args, path = {
+        "medium-dir": (("reflect", "--medium", str(tmp_path), "--cutoff", "2"), str(tmp_path)),
+        "train-dir": (("render", "--train", str(tmp_path), "--dt", "0.1", "--n", "3"),
+                      str(tmp_path)),
+        "out-missing-dir": (("reflect", "--medium", str(BENCH10), "--cutoff", "2",
+                             "--out", missing), missing),
+        "out-dir": (("reflect", "--medium", str(BENCH10), "--cutoff", "2",
+                     "--out", str(tmp_path)), str(tmp_path)),
+    }[case]
+    assert_one_error_line(run(*args), path)
+
+
+def test_closed_stdout_pipe_is_usage_error():
+    # about 1.3 MB of CSV, far more than a pipe holds: the writer is still
+    # writing when the reader goes
+    proc = subprocess.Popen(PKG + ["transmit", "--medium", str(BENCH10),
+                                   "--cutoff", "3.69007"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "time,amplitude\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    res = subprocess.CompletedProcess(proc.args, proc.wait(timeout=60), "", stderr)
+    assert_one_error_line(res)
+    assert "Broken pipe" in stderr
+
+
+@pytest.mark.parametrize("flag", ["--merge-tol", "--floor"])
+def test_nan_merge_tolerance_or_floor_is_usage_error(small_medium, flag):
+    res = run("reflect", "--medium", small_medium, "--cutoff", "2", flag, "nan")
+    assert_one_error_line(res)
+    assert res.stdout == ""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layered_echo import (
+    DomainError,
     PulseTerm,
     PulseTrain,
     REFLECTION,
@@ -86,6 +87,16 @@ def test_amplitude_floor():
     floored = reflection_green(m, 6.0, amplitude_floor=0.1)
     assert len(floored) < len(full)
     assert all(abs(t.amplitude) >= 0.1 for t in floored.terms)
+
+
+def test_nan_floor_and_merge_tolerance_are_rejected():
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    with pytest.raises(DomainError):
+        reflection_green(m, 6.0, amplitude_floor=math.nan)
+    with pytest.raises(DomainError):
+        merge_ties(reflection_green(m, 6.0), math.nan)
+    # a negative floor still keeps every term
+    assert reflection_green(m, 6.0, amplitude_floor=-1.0) == reflection_green(m, 6.0)
 
 
 def test_builds_leave_no_reference_cycles():
