@@ -74,12 +74,12 @@ def _parse_wavelet(spec: str):
     raise LayeredEchoError(f"bad wavelet spec: {spec!r} (use ricker:FREQ or spike)")
 
 
-def _run_train(args, kind: str) -> int:
+def _run_train(args) -> int:
     if not (args.cutoff > 0):
         raise DomainError("--cutoff must be positive")
     medium = read_medium(args.medium)
     start = time.perf_counter()
-    build = greens.reflection_green if kind == REFLECTION else greens.transmission_green
+    build = greens.reflection_green if args.kind == REFLECTION else greens.transmission_green
     train = build(medium, args.cutoff, amplitude_floor=args.floor)
     if args.merge_tol is not None:
         train = greens.merge_ties(train, args.merge_tol)
@@ -89,17 +89,9 @@ def _run_train(args, kind: str) -> int:
     amps = train.amplitudes()
     lo = min(amps, key=abs) if amps else 0.0
     hi = max(amps, key=abs) if amps else 0.0
-    print(f"{kind}: terms={len(train)} min_amp={lo:.6g} max_amp={hi:.6g} "
+    print(f"{args.kind}: terms={len(train)} min_amp={lo:.6g} max_amp={hi:.6g} "
           f"wall={wall:.3f}s", file=sys.stderr)
     return EXIT_OK
-
-
-def _cmd_reflect(args) -> int:
-    return _run_train(args, REFLECTION)
-
-
-def _cmd_transmit(args) -> int:
-    return _run_train(args, TRANSMISSION)
 
 
 def _cmd_convert(args) -> int:
@@ -154,7 +146,8 @@ def _cmd_lattice(args) -> int:
         build = (greens.reflection_green if kind == REFLECTION
                  else greens.transmission_green)
         cutoff = times[-1] * (1.0 + 1e-12)
-        train = greens.merge_ties(build(medium, cutoff))
+        train = build(medium, cutoff)
+        # binning into slots groups tied arrivals, so no merge pass is needed
         by_slot = {}
         t_first = times[0]
         for term in train.terms:
@@ -206,11 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reflect", help="compute the reflection pulse train")
     _add_common_train_args(p)
-    p.set_defaults(func=_cmd_reflect)
+    p.set_defaults(func=_run_train, kind=REFLECTION)
 
     p = sub.add_parser("transmit", help="compute the transmission pulse train")
     _add_common_train_args(p)
-    p.set_defaults(func=_cmd_transmit)
+    p.set_defaults(func=_run_train, kind=TRANSMISSION)
 
     p = sub.add_parser("convert", help="convert a physical profile to tau-R form")
     p.add_argument("--medium", required=True, help="physical-format medium file")

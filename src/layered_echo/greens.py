@@ -5,9 +5,7 @@ triples up to a cutoff, sorted by time with lexicographic transit-vector
 tie break.  Coincident arrivals are NOT merged by default -- the train is
 indexed per transit vector -- merging is an explicit post-pass.
 
-A train build evaluates each distinct per-layer factor once.  The
-``threads`` keyword of the builders is accepted and has no effect: trains
-are built in the calling thread, bit-identical whatever value is given.
+A train build evaluates each distinct per-layer factor once.
 """
 
 from __future__ import annotations
@@ -42,9 +40,6 @@ class PulseTrain:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def times(self) -> List[float]:
-        return [t.time for t in self.terms]
-
     def amplitudes(self) -> List[float]:
         return [t.amplitude for t in self.terms]
 
@@ -69,9 +64,8 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
         raise DomainError(f"cutoff must be finite, got {cutoff}")
     if math.isnan(amplitude_floor):
         raise DomainError("amplitude floor must not be nan")
-    terms_of = transit.reflection_terms if kind == REFLECTION else transit.transmission_terms
     # (time, k, amp) rows in (time, k) order; k is unique, so amp never decides
-    rows = sorted(terms_of(medium, cutoff, LayerFactors(kind, medium.reflections)))
+    rows = sorted(transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections)))
     terms = [PulseTerm(time, amp, k) for time, k, amp in rows]
     if amplitude_floor > 0.0:
         terms = [t for t in terms if abs(t.amplitude) >= amplitude_floor]
@@ -79,13 +73,13 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
 
 
 def reflection_green(medium: Medium, cutoff: float, *,
-                     amplitude_floor: float = 0.0, threads: int = 1) -> PulseTrain:
+                     amplitude_floor: float = 0.0) -> PulseTrain:
     """The reflection Green's function up to the cutoff, one term per k."""
     return _build_train(medium, cutoff, REFLECTION, amplitude_floor)
 
 
 def transmission_green(medium: Medium, cutoff: float, *,
-                       amplitude_floor: float = 0.0, threads: int = 1) -> PulseTrain:
+                       amplitude_floor: float = 0.0) -> PulseTrain:
     """The transmission Green's function up to the cutoff, one term per k."""
     return _build_train(medium, cutoff, TRANSMISSION, amplitude_floor)
 
@@ -94,14 +88,16 @@ DEFAULT_MERGE_TOL = 1e-12
 
 
 def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTrain:
-    """Combine consecutive terms whose arrival times agree to tol_rel.
+    """Combine runs of terms whose arrival times agree to tol_rel.
 
     Distinct transit vectors can arrive simultaneously when travel times
     are commensurate; floating accumulation may spread such a tie over a
-    few ulps.  Two consecutive terms tie when |t_i - t_j| <= tol_rel *
-    max(t_j, first arrival).  The merged term keeps the earliest time and
-    the lexicographically smallest contributing transit vector, and sums
-    the amplitudes.  tol_rel = 0 merges only bit-identical times.
+    few ulps.  A term t_j joins the current group when |t_j - t_g| <=
+    tol_rel * max(t_j, first arrival), where t_g is the time of the group's
+    first term, which the merged term keeps; so a group never spans more
+    than that tolerance, however many terms it chains.  The merged term
+    also keeps the lexicographically smallest contributing transit vector,
+    and sums the amplitudes.  tol_rel = 0 merges only bit-identical times.
     """
     if not (tol_rel >= 0):
         raise DomainError(f"tol_rel must be >= 0, got {tol_rel}")
@@ -111,7 +107,7 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
     merged: List[PulseTerm] = []
     group = [train.terms[0]]
     for term in train.terms[1:]:
-        if abs(term.time - group[-1].time) <= tol_rel * max(term.time, floor):
+        if abs(term.time - group[0].time) <= tol_rel * max(term.time, floor):
             group.append(term)
         else:
             merged.append(_merge_group(group))

@@ -7,24 +7,27 @@ layer n, so the arrival time of every echo with transit vector k is
 the inner product <k, tau> (plus half the total travel time in the
 transmission case).
 
-Enumeration is a depth-first search over the entries of k carrying the
-remaining time budget, so the cost is proportional to the number of
-vectors emitted.  Vectors are yielded in DFS order; sorting by arrival
-time is the consumer's job.  Arrival times are accumulated strictly
-left to right (k_0*tau_0 first) so that term counts at a given cutoff
-are deterministic and reproducible.  The same search carries the
-amplitude: each time it fixes k_{n+1} it multiplies the per-layer factor
-s_n(k_n, k_{n+1}) into a running product.
+Both kinds are enumerated by one depth-first search over the entries of
+k carrying the remaining time budget, so the cost is proportional to the
+number of vectors emitted.  The two kinds differ only in k_0, in the least
+allowed k_n and in which nodes of the search emit.  The order of the
+vectors, siblings included, is unspecified; sorting by arrival time is the
+consumer's job.  Arrival times are accumulated strictly left to right
+(k_0*tau_0 first) so that term counts at a given cutoff are deterministic
+and reproducible.  The same search carries the amplitude: each time it
+fixes k_{n+1} it multiplies the per-layer factor s_n(k_n, k_{n+1}) into a
+running product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from math import comb
 from typing import Iterator, List, Mapping, Sequence, Tuple
 
-from .errors import DomainError, InvalidTransitVector
+from .errors import DomainError, EnumerationLimitExceeded, InvalidTransitVector
 from .medium import Medium
 
 REFLECTION = "reflection"
@@ -136,87 +139,94 @@ class _UnitFactors(dict):
 
 _UNIT_FACTORS = _UnitFactors()
 
+# The most vectors a search may be asked for: the oracle's default walk limit.
+MAX_TERMS = 10_000_000
 
-def reflection_terms(medium: Medium, cutoff: float,
-                     factors: Mapping) -> Iterator[Tuple[float, Tuple[int, ...], float]]:
-    """Yield (reflection_arrival(k), k, amplitude) for every k with <k, tau> <= cutoff.
 
-    DFS order; the cutoff comparison is inclusive.  Empty if cutoff < tau_0.
-    ``factors[n, k_n, k_{n+1}]`` is the per-layer factor s_n (see
-    ``amplitudes.LayerFactors``).  The search multiplies s_n into a running
-    product as soon as it fixes k_{n+1}, so the amplitude is the product of
-    s_0 .. s_M in that order.  Past the support of k the factors are s(0, 0),
-    exactly 1.0 for reflection, and are not multiplied in.
+def _log_volume(x: float, taus: Sequence[float]) -> float:
+    """log of x^d / (d! * prod taus), the volume of {y >= 0 : <y, taus> <= x}.
+
+    Every point y of that simplex lies in the unit cube of floor(y), a lattice
+    point of the simplex, so the volume is a lower bound on their number.
+    """
+    if not taus:
+        return 0.0 if x >= 0 else -math.inf
+    if x <= 0:
+        return -math.inf
+    d = len(taus)
+    return d * math.log(x) - math.lgamma(d + 1) - math.fsum(math.log(t) for t in taus)
+
+
+def _check_budget(medium: Medium, kind: str, cutoff: float) -> None:
+    """Raise EnumerationLimitExceeded if surely more than MAX_TERMS vectors arrive."""
+    taus = medium.layer_taus
+    if kind == REFLECTION:
+        # support length L: k_1 .. k_{L-1} >= 1, budget left for their excess
+        log_n = max(_log_volume(cutoff - math.fsum(taus[:L]), taus[1:L])
+                    for L in range(1, len(taus) + 1))
+    else:
+        log_n = _log_volume(cutoff - half_total_time(medium), taus[1:])
+    if log_n > math.log(MAX_TERMS):
+        raise EnumerationLimitExceeded(
+            f"{kind} at cutoff {cutoff:g} has more than 10^{log_n / math.log(10):.1f} "
+            f"terms, past the limit of {MAX_TERMS}")
+
+
+def terms(medium: Medium, kind: str, cutoff: float,
+          factors: Mapping) -> Iterator[Tuple[float, Tuple[int, ...], float]]:
+    """Yield (arrival, k, amplitude) for every transit vector k arriving by the cutoff.
+
+    The arrival is ``reflection_arrival(k)`` or ``transmission_arrival(k)``;
+    the comparison with the cutoff is inclusive, and nothing is yielded if
+    the first arrival is already late.  ``factors[n, k_n, k_{n+1}]`` is the
+    per-layer factor s_n (see ``amplitudes.LayerFactors``); the search
+    multiplies s_n into a running product as soon as it fixes k_{n+1}, so
+    the amplitude is the product of s_0 .. s_M in that order.  A reflection
+    vector is emitted at the end of its support, where the remaining factors
+    s(0, 0) are exactly 1.0 and are not multiplied in.  The order of the
+    vectors is unspecified.  Raises EnumerationLimitExceeded, before the
+    search, when the cutoff admits more than MAX_TERMS vectors for sure.
     """
     taus = medium.layer_taus
     m1 = len(taus)
-    t0 = 1 * taus[0]
+    if kind == REFLECTION:
+        # k_0 = 1; every prefix is a vector, padded with zeros; k_n >= 1 inside it
+        root, t0, first, emit_all = (1,), 1 * taus[0], 1, True
+    else:
+        # k_0 = 0; only full-length vectors arrive; k_n >= 0
+        root, t0, first, emit_all = (0,), half_total_time(medium), 0, False
     if t0 > cutoff:
         return
+    _check_budget(medium, kind, cutoff)
     # (index n of the next entry to fix, k_0 .. k_{n-1}, time so far,
     # s_0 * .. * s_{n-2}); an explicit stack, so a yield costs O(1) at any depth
-    stack = [(1, (1,), t0, 1.0)]
+    stack = [(1, root, t0, 1.0)]
     pop = stack.pop
-    while stack:
-        n, prefix, t, amp = pop()
-        kp = prefix[-1]
-        yield t, prefix + (0,) * (m1 - n), amp * factors[n - 1, kp, 0]
-        if n < m1:
-            tau = taus[n]
-            children = []
-            kn = 1
-            while True:
-                tn = t + kn * tau
-                if tn > cutoff:
-                    break
-                children.append((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
-                kn += 1
-            children.reverse()
-            stack += children
-
-
-def transmission_terms(medium: Medium, cutoff: float,
-                       factors: Mapping) -> Iterator[Tuple[float, Tuple[int, ...], float]]:
-    """Yield (transmission_arrival(k), k, amplitude) for every k arriving by the cutoff.
-
-    Arrival = |tau'|/2 + <k, tau>, inclusive comparison; empty if the direct
-    arrival already exceeds the cutoff.  The amplitude is the product of
-    ``factors[n, k_n, k_{n+1}]`` over n = 0..M, multiplied in that order as
-    in ``reflection_terms``.
-    """
-    taus = medium.layer_taus
-    m1 = len(taus)
-    base = half_total_time(medium)
-    if base > cutoff:
-        return
-    stack = [(1, (0,), base, 1.0)]
-    pop = stack.pop
+    push = stack.append
     while stack:
         n, prefix, t, amp = pop()
         kp = prefix[-1]
         if n == m1:
             yield t, prefix, amp * factors[n - 1, kp, 0]
             continue
+        if emit_all:
+            yield t, prefix + (0,) * (m1 - n), amp * factors[n - 1, kp, 0]
         tau = taus[n]
-        children = []
-        kn = 0
-        while True:
-            tn = t + kn * tau
-            if tn > cutoff:
-                break
-            children.append((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
+        kn = first
+        tn = t + kn * tau
+        while tn <= cutoff:
+            push((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
             kn += 1
-        children.reverse()
-        stack += children
+            tn = t + kn * tau
 
 
 def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every reflection transit vector with <k, tau> <= cutoff, once each."""
     return (TransitVector(k, REFLECTION)
-            for _, k, _ in reflection_terms(medium, cutoff, _UNIT_FACTORS))
+            for _, k, _ in terms(medium, REFLECTION, cutoff, _UNIT_FACTORS))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every transmission transit vector arriving by the cutoff, once each."""
     return (TransitVector(k, TRANSMISSION)
-            for _, k, _ in transmission_terms(medium, cutoff, _UNIT_FACTORS))
+            for _, k, _ in terms(medium, TRANSMISSION, cutoff, _UNIT_FACTORS))

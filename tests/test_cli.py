@@ -266,6 +266,28 @@ def assert_one_error_line(res, path=None):
         assert path in lines[0]
 
 
+# sha256 and row count of the bench10 trains with their transit vectors
+@pytest.mark.parametrize("kind, cutoff, rows, digest", [
+    ("reflect", "5.38014", 19242,
+     "93458b4809ddaee4a0a1fd1d589b9285b51064daf912c1105c2aa4e2b908dec3"),
+    ("transmit", "3.69007", 35059,
+     "2fc5e41c1976afa0997f12d87da43fea26754d8559b67f685bf037ffd36ce966"),
+])
+def test_bench10_train_csv_is_pinned(kind, cutoff, rows, digest):
+    res = run(kind, "--medium", str(BENCH10), "--cutoff", cutoff, "--with-k")
+    assert res.returncode == 0
+    assert res.stdout.count("\n") - 1 == rows
+    assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["reflect", "transmit"])
+def test_huge_cutoff_exits_at_once(kind):
+    # bench10 has more than 10^2999 vectors by 1e300 s: refused before the search
+    res = run(kind, "--medium", str(BENCH10), "--cutoff", "1e300", timeout=10)
+    assert_one_error_line(res)
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("case", ["medium-dir", "train-dir", "out-missing-dir", "out-dir"])
 def test_unreadable_input_or_unwritable_out_is_usage_error(tmp_path, case):
     missing = str(tmp_path / "missing" / "x.csv")

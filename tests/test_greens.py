@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from layered_echo import (
     DomainError,
+    EnumerationLimitExceeded,
     PulseTerm,
     PulseTrain,
     REFLECTION,
@@ -71,16 +72,6 @@ def test_prefix_property():
     assert large.terms[:len(small.terms)] == small.terms
 
 
-def test_thread_count_does_not_change_output():
-    m = make_medium((0.6, 0.25, 1.1), 0.0, (0.4, -0.3, 0.2))
-    one = reflection_green(m, 5.0, threads=1)
-    eight = reflection_green(m, 5.0, threads=8)
-    assert one == eight
-    tone = transmission_green(m, 5.0, threads=1)
-    teight = transmission_green(m, 5.0, threads=8)
-    assert tone == teight
-
-
 def test_amplitude_floor():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     full = reflection_green(m, 6.0)
@@ -115,6 +106,23 @@ def test_builds_leave_no_reference_cycles():
         gc.enable()
     assert min(sizes) >= 2000
     assert freed < 100
+
+
+def test_huge_cutoff_is_refused_before_the_search(bench10):
+    with pytest.raises(EnumerationLimitExceeded):
+        reflection_green(bench10, 1e300)
+    with pytest.raises(EnumerationLimitExceeded):
+        transmission_green(bench10, 1e300)
+
+
+def test_merge_groups_are_anchored_at_their_first_time():
+    # each step is within 1e-6 of the last, but the third term is 1.2e-6 past
+    # the first: chaining would merge all three
+    times = (1.0, 1.0 + 0.6e-6, 1.0 + 1.2e-6)
+    terms = tuple(PulseTerm(t, 1.0, (1, i)) for i, t in enumerate(times))
+    merged = merge_ties(PulseTrain(REFLECTION, 2.0, terms), 1e-6)
+    assert [(t.time, t.amplitude, t.k) for t in merged.terms] == [
+        (1.0, 2.0, (1, 0)), (times[2], 1.0, (1, 2))]
 
 
 def test_merge_no_ties_is_identity():

@@ -132,6 +132,17 @@ def _box_reference_reflection(taus, cutoff):
     return out
 
 
+def _box_reference_transmission(taus, base, cutoff):
+    """Transmission vectors by the same exhaustive filter: k_0 = 0, any k_n >= 0."""
+    bounds = [int(cutoff // t) + 1 for t in taus[1:]]
+    out = set()
+    for rest in itertools.product(*(range(b + 1) for b in bounds)):
+        k = (0,) + rest
+        if base + arrival_time(k, taus) <= cutoff:
+            out.add(k)
+    return out
+
+
 def test_enumeration_completeness_against_box_filter():
     rng = random.Random(3)
     for m_layers in (1, 2, 3):
@@ -140,6 +151,10 @@ def test_enumeration_completeness_against_box_filter():
         cutoff = 9.0
         got = {tv.k for tv in enumerate_reflection(m, cutoff)}
         assert got == _box_reference_reflection(taus, cutoff)
+        # integer taus: |tau'|/2 and every <k, tau> are exact
+        got = {tv.k for tv in enumerate_transmission(m, cutoff)}
+        assert got == _box_reference_transmission(taus, sum(taus) / 2, cutoff)
+        assert len(got) > 1
 
 
 def test_enumeration_monotone_in_cutoff():
