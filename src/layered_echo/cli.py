@@ -83,14 +83,15 @@ def _run_train(args) -> int:
     train = build(medium, args.cutoff, amplitude_floor=args.floor)
     if args.merge_tol is not None:
         train = greens.merge_ties(train, args.merge_tol)
-    wall = time.perf_counter() - start
+    # build time: the medium parse before and the CSV write after are not in it
+    built = time.perf_counter() - start
     with _open_out(args.out) as fh:
         greens.write_train_csv(train, fh, with_k=args.with_k)
-    amps = train.amplitudes()
+    amps = train.amps
     lo = min(amps, key=abs) if amps else 0.0
     hi = max(amps, key=abs) if amps else 0.0
     print(f"{args.kind}: terms={len(train)} min_amp={lo:.6g} max_amp={hi:.6g} "
-          f"wall={wall:.3f}s", file=sys.stderr)
+          f"build={built:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -113,12 +114,11 @@ def _cmd_oracle(args) -> int:
         sums, counts = oracle.tally(medium, kind, pad, limit=args.limit)
         build = (greens.reflection_green if kind == REFLECTION
                  else greens.transmission_green)
-        terms = build(medium, args.cutoff).terms
-        for i, term in enumerate(terms):
-            closed = term.amplitude
+        train = build(medium, args.cutoff)
+        for i, (closed, k) in enumerate(zip(train.amps, train.ks)):
             if args.corrupt and i == 0:
                 closed += 1e-3  # test hook: force a detectable deviation
-            brute = sums.get(term.k, 0.0)
+            brute = sums.get(k, 0.0)
             scale = max(abs(brute), abs(closed), 1e-300)
             worst = max(worst, abs(closed - brute) / scale)
         for (k, b), count in counts.items():
@@ -128,7 +128,7 @@ def _cmd_oracle(args) -> int:
                 mismatches += 1
                 print(f"class count mismatch {kind} k={k} b={b}: "
                       f"oracle {count} vs formula {expected}", file=sys.stderr)
-        print(f"{kind}: vectors={len(terms)} classes={len(counts)}", file=sys.stderr)
+        print(f"{kind}: vectors={len(train)} classes={len(counts)}", file=sys.stderr)
     print(f"max relative amplitude deviation: {worst:.3e}")
     print(f"class count mismatches: {mismatches}")
     if worst > tol or mismatches:
@@ -150,9 +150,9 @@ def _cmd_lattice(args) -> int:
         # binning into slots groups tied arrivals, so no merge pass is needed
         by_slot = {}
         t_first = times[0]
-        for term in train.terms:
-            j = round((term.time - t_first) / period)
-            by_slot[j] = by_slot.get(j, 0.0) + term.amplitude
+        for tj, aj in zip(train.times, train.amps):
+            j = round((tj - t_first) / period)
+            by_slot[j] = by_slot.get(j, 0.0) + aj
         for j, (t, s) in enumerate(zip(times, samples)):
             dev = abs(s - by_slot.get(j, 0.0))
             if args.corrupt and j == 0:

@@ -5,14 +5,20 @@ triples up to a cutoff, sorted by time with lexicographic transit-vector
 tie break.  Coincident arrivals are NOT merged by default -- the train is
 indexed per transit vector -- merging is an explicit post-pass.
 
+A train is stored as three parallel tuples, ``times``, ``amps`` and
+``ks``; the builders, ``merge_ties``, ``read_train_csv``,
+``write_train_csv`` and ``convolve`` work on those columns.  The
+``PulseTerm`` objects of ``PulseTrain.terms`` are made only when that
+property is first read.
+
 A train build evaluates each distinct per-layer factor once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, TextIO, Tuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Callable, Iterable, List, TextIO, Tuple
 
 from . import transit
 # the amplitude functions stay importable from here, where callers look them up
@@ -31,17 +37,72 @@ class PulseTerm:
     k: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class PulseTrain:
-    kind: str
-    cutoff: float
-    terms: Tuple[PulseTerm, ...]
+    """A delta train: ``kind``, ``cutoff`` and the parallel columns
+    ``times``, ``amps`` and ``ks`` (term i is times[i], amps[i], ks[i]).
+
+    ``PulseTrain(kind, cutoff, terms)`` builds the columns from
+    ``PulseTerm``s.  ``terms`` gives the train as ``PulseTerm``s, made on
+    first access and kept.  Trains are immutable; two are equal when kind,
+    cutoff and every term are.
+    """
+
+    __slots__ = ("kind", "cutoff", "times", "amps", "ks", "_terms")
+
+    def __init__(self, kind: str, cutoff: float, terms: Iterable[PulseTerm]) -> None:
+        terms = tuple(terms)
+        self._fill(kind, cutoff, tuple([t.time for t in terms]),
+                   tuple([t.amplitude for t in terms]), tuple([t.k for t in terms]), terms)
+
+    @classmethod
+    def _from_columns(cls, kind: str, cutoff: float, times: Tuple[float, ...],
+                      amps: Tuple[float, ...],
+                      ks: Tuple[Tuple[int, ...], ...]) -> "PulseTrain":
+        train = object.__new__(cls)
+        train._fill(kind, cutoff, times, amps, ks, None)
+        return train
+
+    def _fill(self, *values) -> None:  # values in __slots__ order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def terms(self) -> Tuple[PulseTerm, ...]:
+        """The train as ``PulseTerm``s, made on first access and then kept."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms",
+                               tuple(map(PulseTerm, self.times, self.amps, self.ks)))
+        return self._terms
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.kind, self.cutoff, self.times, self.amps, self.ks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (PulseTrain._from_columns, self._key())
+
+    def __repr__(self) -> str:
+        return (f"PulseTrain(kind={self.kind!r}, cutoff={self.cutoff!r}, "
+                f"<{len(self.times)} terms>)")
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.times)
 
     def amplitudes(self) -> List[float]:
-        return [t.amplitude for t in self.terms]
+        return list(self.amps)
 
 
 @dataclass(frozen=True)
@@ -66,10 +127,11 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
         raise DomainError("amplitude floor must not be nan")
     # (time, k, amp) rows in (time, k) order; k is unique, so amp never decides
     rows = sorted(transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections)))
-    terms = [PulseTerm(time, amp, k) for time, k, amp in rows]
     if amplitude_floor > 0.0:
-        terms = [t for t in terms if abs(t.amplitude) >= amplitude_floor]
-    return PulseTrain(kind, cutoff, tuple(terms))
+        rows = [row for row in rows if abs(row[2]) >= amplitude_floor]
+    # the columns share the float and tuple objects the search made
+    times, ks, amps = zip(*rows) if rows else ((), (), ())
+    return PulseTrain._from_columns(kind, cutoff, times, amps, ks)
 
 
 def reflection_green(medium: Medium, cutoff: float, *,
@@ -101,28 +163,34 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
     """
     if not (tol_rel >= 0):
         raise DomainError(f"tol_rel must be >= 0, got {tol_rel}")
-    if not train.terms:
+    times, amps, ks = train.times, train.amps, train.ks
+    if not times:
         return train
-    floor = train.terms[0].time
-    merged: List[PulseTerm] = []
-    group = [train.terms[0]]
-    for term in train.terms[1:]:
-        if abs(term.time - group[0].time) <= tol_rel * max(term.time, floor):
-            group.append(term)
+    floor = times[0]
+    # starts[g] is the index of group g's first term
+    starts = [0]
+    t_g = floor
+    for j in range(1, len(times)):
+        t = times[j]
+        if not abs(t - t_g) <= tol_rel * max(t, floor):
+            starts.append(j)
+            t_g = t
+    starts.append(len(times))
+    m_amps: List[float] = []
+    m_ks: List[Tuple[int, ...]] = []
+    for lo, hi in zip(starts, starts[1:]):
+        if hi - lo == 1:
+            m_amps.append(amps[lo])
+            m_ks.append(ks[lo])
         else:
-            merged.append(_merge_group(group))
-            group = [term]
-    merged.append(_merge_group(group))
-    return PulseTrain(train.kind, train.cutoff, tuple(merged))
-
-
-def _merge_group(group: List[PulseTerm]) -> PulseTerm:
-    if len(group) == 1:
-        return group[0]
-    total = 0.0
-    for t in group:
-        total += t.amplitude
-    return PulseTerm(group[0].time, total, min(t.k for t in group))
+            total = 0.0  # added in train order; sum() compensates from 3.12 on
+            for a in amps[lo:hi]:
+                total += a
+            m_amps.append(total)
+            m_ks.append(min(ks[lo:hi]))
+    m_times = tuple([times[lo] for lo in starts[:-1]])
+    return PulseTrain._from_columns(train.kind, train.cutoff, m_times, tuple(m_amps),
+                                    tuple(m_ks))
 
 
 def ricker(peak_freq: float) -> Callable[[float], float]:
@@ -174,17 +242,16 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
     samples = [0.0] * n_samples
     n = float(n_samples)
     if wavelet == "spike":
-        for term in train.terms:
-            q = (term.time - t0) / dt
+        for tj, aj in zip(train.times, train.amps):
+            q = (tj - t0) / dt
             # compare in float first: round() of an overflowed quotient raises
             if -1.0 < q < n:
                 idx = round(q)
                 if 0 <= idx < n_samples:
-                    samples[idx] += term.amplitude
+                    samples[idx] += aj
     else:
         radius = getattr(wavelet, "radius", math.inf)
-        for term in train.terms:
-            tj, aj = term.time, term.amplitude
+        for tj, aj in zip(train.times, train.amps):
             # clamp in float: int() of a huge or infinite quotient would overflow
             lo = int(max(0.0, min(n, (tj - radius - t0) / dt - 1.0)))
             hi = int(max(0.0, min(n, (tj + radius - t0) / dt + 2.0)))
@@ -199,17 +266,33 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
     return SampledSignal(t0, dt, tuple(samples))
 
 
+class _KFormats(dict):
+    """n -> the %-format that joins n ints with "|", as '|'.join(map(str, k))."""
+
+    def __missing__(self, n: int) -> str:
+        fmt = self[n] = "|".join(["%d"] * n)
+        return fmt
+
+
+_CSV_CHUNK = 4096  # rows per write
+
+
 def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> None:
-    """Emit `time,amplitude[,k]` rows, times/amplitudes at 17 significant digits."""
-    if with_k:
-        stream.write("time,amplitude,k\n")
-        for t in train.terms:
-            stream.write(f"{_fmt(t.time)},{_fmt(t.amplitude)},"
-                         f"{'|'.join(str(x) for x in t.k)}\n")
-    else:
-        stream.write("time,amplitude\n")
-        for t in train.terms:
-            stream.write(f"{_fmt(t.time)},{_fmt(t.amplitude)}\n")
+    """Emit `time,amplitude[,k]` rows, times/amplitudes at 17 significant digits.
+
+    The format is medium._fmt's, inlined; rows go out joined in chunks.
+    """
+    times, amps, ks = train.times, train.amps, train.ks
+    stream.write("time,amplitude,k\n" if with_k else "time,amplitude\n")
+    kf = _KFormats()
+    for i in range(0, len(times), _CSV_CHUNK):
+        j = i + _CSV_CHUNK
+        if with_k:
+            rows = [f"{t:.17g},{a:.17g},{kf[len(k)] % k}\n"
+                    for t, a, k in zip(times[i:j], amps[i:j], ks[i:j])]
+        else:
+            rows = [f"{t:.17g},{a:.17g}\n" for t, a in zip(times[i:j], amps[i:j])]
+        stream.write("".join(rows))
 
 
 def read_train_csv(stream: TextIO, kind: str = REFLECTION,
@@ -220,9 +303,11 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     ParseError with its line number; a byte the stream cannot decode
     raises ParseError naming the stream.
     """
-    terms = []
+    times: List[float] = []
+    amps: List[float] = []
+    ks: List[Tuple[int, ...]] = []
     try:
-        header = stream.readline().strip().split(",")
+        with_k = "k" in stream.readline().strip().split(",")
         for line_no, line in enumerate(stream, start=2):
             line = line.strip()
             if not line:
@@ -230,18 +315,20 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
             fields = line.split(",")
             try:
                 k: Tuple[int, ...] = ()
-                if len(fields) >= 3 and "k" in header:
-                    k = tuple(int(x) for x in fields[2].split("|"))
+                if len(fields) >= 3 and with_k:
+                    k = tuple(map(int, fields[2].split("|")))
                 time, amp = float(fields[0]), float(fields[1])
             except (ValueError, IndexError):
                 raise ParseError(f"malformed train row {line!r}", line_no) from None
             if not (math.isfinite(time) and math.isfinite(amp)):
                 raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
-            terms.append(PulseTerm(time, amp, k))
+            times.append(time)
+            amps.append(amp)
+            ks.append(k)
     except UnicodeDecodeError as exc:
         where = getattr(stream, "name", "train CSV")
         raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None
-    return PulseTrain(kind, cutoff, tuple(terms))
+    return PulseTrain._from_columns(kind, cutoff, tuple(times), tuple(amps), tuple(ks))
 
 
 def write_signal_csv(signal: SampledSignal, stream: TextIO) -> None:

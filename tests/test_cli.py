@@ -173,6 +173,8 @@ def test_stderr_stdout_separation(small_medium):
     res = run("reflect", "--medium", small_medium, "--cutoff", "2")
     assert "terms=" not in res.stdout
     assert "terms=" in res.stderr
+    # the timing covers the build only, not the parse or the CSV write
+    assert " build=" in res.stderr and "wall=" not in res.stderr
 
 
 def test_reflect_infinite_cutoff_is_usage_error(small_medium):
@@ -275,6 +277,24 @@ def assert_one_error_line(res, path=None):
 ])
 def test_bench10_train_csv_is_pinned(kind, cutoff, rows, digest):
     res = run(kind, "--medium", str(BENCH10), "--cutoff", cutoff, "--with-k")
+    assert res.returncode == 0
+    assert res.stdout.count("\n") - 1 == rows
+    assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
+
+
+# sha256 and row count of more bench10 CSVs: without k, merged and floored
+@pytest.mark.parametrize("args, rows, digest", [
+    (("reflect", "--cutoff", "5.38014"), 19242,
+     "ed4c235db41f47c4485103d02b07c303e087fa2857a81487a7f9d06042cec545"),
+    (("transmit", "--cutoff", "3.69007"), 35059,
+     "76718fa001e1b0045f09246422fb83d9e96feda6526308ea60f6f6a2931418e8"),
+    (("transmit", "--cutoff", "3.69007", "--merge-tol", "1e-12", "--with-k"), 35049,
+     "0cd197fbe208f4bc7f8e2bc7609ac0bcb4a96429a69f2914c1e6d0d0282e8c04"),
+    (("reflect", "--cutoff", "5.38014", "--floor", "1e-6", "--with-k"), 12869,
+     "729a3f083c3b9f18bc8009fd97d869d6f08b6750f20d5730b905c3fca2322009"),
+], ids=["reflect", "transmit", "transmit-merged-with-k", "reflect-floored-with-k"])
+def test_bench10_train_csv_variants_are_pinned(args, rows, digest):
+    res = run(*args, "--medium", str(BENCH10))
     assert res.returncode == 0
     assert res.stdout.count("\n") - 1 == rows
     assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest

@@ -21,6 +21,7 @@ from layered_echo import (
     transmission_green,
     write_train_csv,
 )
+from layered_echo import greens
 from layered_echo.amplitudes import amplitude
 from layered_echo.greens import read_train_csv, write_signal_csv
 from layered_echo.oracle import enumerate_sequences, stats, tally
@@ -98,14 +99,75 @@ def test_builds_leave_no_reference_cycles():
     gc.disable()
     try:
         trains = [reflection_green(m, 6.5), transmission_green(m, 6.5)]
+        buf = io.StringIO()
+        write_train_csv(trains[1], buf, with_k=True)
+        buf.seek(0)
+        trains += [read_train_csv(buf), merge_ties(trains[0], 1e-9)]
+        terms = trains[2].terms
         sums, counts = tally(m, REFLECTION, 2.6)
-        sizes = [len(t) for t in trains] + [sum(counts.values())]
-        del trains, sums, counts
+        # the commensurate times merge into few terms; they are not counted
+        sizes = [len(t) for t in trains[:3]] + [len(terms), sum(counts.values())]
+        del trains, buf, terms, sums, counts
         freed = gc.collect()
     finally:
         gc.enable()
     assert min(sizes) >= 2000
     assert freed < 100
+
+
+def _csv(train, with_k):
+    buf = io.StringIO()
+    write_train_csv(train, buf, with_k=with_k)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("build", [reflection_green, transmission_green])
+def test_train_from_terms_matches_the_built_train(build):
+    # commensurate travel times, so merge_ties has ties to combine
+    m = make_medium((0.3, 0.2, 0.25, 0.4), 0.1, (0.4, -0.3, 0.2, 0.5))
+    built = build(m, 4.5)
+    again = PulseTrain(built.kind, built.cutoff, built.terms)
+    assert again == built and hash(again) == hash(built)
+    assert len(again) == len(built) > 100
+    assert again.amplitudes() == built.amplitudes()
+    for with_k in (False, True):
+        assert _csv(again, with_k) == _csv(built, with_k)
+    merged = merge_ties(built)
+    assert len(merged) < len(built)
+    assert merge_ties(again) == merged
+    for wavelet in ("spike", ricker(25.0)):
+        got = convolve(again, wavelet, 0.5, 0.01, 900).samples
+        want = convolve(built, wavelet, 0.5, 0.01, 900).samples
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_empty_train_writes_only_the_header():
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    for train in (PulseTrain(REFLECTION, 2.0, ()), reflection_green(m, 0.5)):
+        assert len(train) == 0
+        assert _csv(train, False) == "time,amplitude\n"
+        assert _csv(train, True) == "time,amplitude,k\n"
+
+
+def test_no_pulse_term_is_made_until_terms_is_read(monkeypatch):
+    m = make_medium((1.0, 1.0, 2.0), 0.0, (0.3, -0.4, 0.5))
+
+    def refuse(*args):
+        raise AssertionError("a PulseTerm was made")
+
+    monkeypatch.setattr(greens, "PulseTerm", refuse)
+    built = reflection_green(m, 6.0)
+    transmission_green(m, 6.0, amplitude_floor=1e-3)
+    merged = merge_ties(built)
+    buf = io.StringIO()
+    write_train_csv(merged, buf, with_k=True)
+    buf.seek(0)
+    read = read_train_csv(buf, REFLECTION, 6.0)
+    convolve(read, "spike", 0.0, 0.1, 60)
+    assert read == merged
+    monkeypatch.undo()
+    assert read.terms is read.terms  # made once, then kept
+    assert read.terms[0] == PulseTerm(read.times[0], read.amps[0], read.ks[0])
 
 
 def test_huge_cutoff_is_refused_before_the_search(bench10):
