@@ -7,11 +7,20 @@ success, 1 on verification failure (oracle/lattice deviation), 2 on
 usage, parse or validation errors and on any failure to read or write a
 file or pipe.  The subcommands raise; ``main`` alone turns a
 ``LayeredEchoError`` or ``OSError`` into one ``error:`` line and exit 2.
+
+A command runs with the cyclic garbage collector paused, and ``main``
+leaves it as it found it.  A build allocates a few container objects per
+transit vector (stack entry, k tuple, row) and none of them form a
+reference cycle, so the collector's repeated scans of them find nothing
+and cost a large share of a build; reference counting still frees every
+object at once.  The library modules never touch the collector: that
+process-wide choice belongs to the application.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import stat
 import sys
@@ -240,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
@@ -255,6 +266,9 @@ def main(argv=None) -> int:
                 with open(os.devnull, "w") as devnull:
                     os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_USAGE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

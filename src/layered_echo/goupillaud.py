@@ -70,8 +70,11 @@ def simulate(medium: Medium, n_steps: int) -> LatticeResult:
     # reflection arrivals live on even half steps, transmission leaves the
     # stack on half steps of parity M+1
     total_halves = 2 * n_steps + m + 1
-    g_raw = [0.0] * (total_halves + 2)
-    h_raw = [0.0] * (total_halves + 2)
+    try:
+        g_raw = [0.0] * (total_halves + 2)
+        h_raw = [0.0] * (total_halves + 2)
+    except (OverflowError, MemoryError):
+        raise DomainError(f"cannot allocate {n_steps} steps") from None
 
     for s in range(1, total_halves + 1):
         new_down = [0.0] * (m + 1)

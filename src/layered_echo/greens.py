@@ -239,7 +239,10 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
         raise DomainError("dt must be positive and finite, t0 finite")
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    samples = [0.0] * n_samples
+    try:
+        samples = [0.0] * n_samples
+    except (OverflowError, MemoryError):
+        raise DomainError(f"cannot allocate {n_samples} samples") from None
     n = float(n_samples)
     if wavelet == "spike":
         for tj, aj in zip(train.times, train.amps):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 from conftest import BENCH10
+from layered_echo import cli
+from layered_echo.errors import LayeredEchoError
 
 PKG = [sys.executable, "-m", "layered_echo"]
 
@@ -343,3 +346,108 @@ def test_nan_merge_tolerance_or_floor_is_usage_error(small_medium, flag):
     res = run("reflect", "--medium", small_medium, "--cutoff", "2", flag, "nan")
     assert_one_error_line(res)
     assert res.stdout == ""
+
+
+# 10**20 does not fit an index (OverflowError); 2**62 floats, or 2**61 steps
+# (two samples each), are more bytes than the address space (MemoryError).
+# Both fail at once, allocating nothing.
+@pytest.mark.parametrize("n", [str(10**20), str(2**62)], ids=["overflow", "memory"])
+def test_render_oversized_sample_count_is_usage_error(small_medium, tmp_path, n):
+    train = tmp_path / "train.csv"
+    run("reflect", "--medium", small_medium, "--cutoff", "2", "--out", str(train))
+    res = run("render", "--train", str(train), "--dt", "0.5", "--n", n, timeout=60)
+    assert_one_error_line(res)
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("steps", [str(10**20), str(2**61)], ids=["overflow", "memory"])
+def test_lattice_oversized_step_count_is_usage_error(small_medium, steps):
+    res = run("lattice", "--medium", small_medium, "--steps", steps, timeout=60)
+    assert_one_error_line(res)
+    assert res.stdout == ""
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("args, code", [
+    (("reflect", "--medium", "SMALL", "--cutoff", "2"), 0),
+    (("oracle", "--medium", "SMALL", "--cutoff", "4", "--corrupt"), 1),
+    (("reflect", "--medium", "/nonexistent/med.taur", "--cutoff", "2"), 2),
+    (("reflect", "--medium", "SMALL", "--cutoff", "2", "--no-such-flag"), "argparse"),
+], ids=["ok", "verification", "usage", "argparse"])
+def test_main_leaves_collector_state_as_found(small_medium, capsys, restore_gc,
+                                              enabled, args, code):
+    argv = [small_medium if a == "SMALL" else a for a in args]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if code == "argparse":
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+    assert gc.isenabled() is enabled
+
+
+def test_command_runs_with_collector_paused(small_medium, capsys, monkeypatch, restore_gc):
+    seen = []
+    monkeypatch.setattr(cli, "_run_train", lambda args: seen.append(gc.isenabled()) or 0)
+    gc.enable()
+    assert cli.main(["reflect", "--medium", small_medium, "--cutoff", "2"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+# main pauses the collector because the command bodies make no reference
+# cycles: a cycle added to one would hold its objects until the command ends
+@pytest.mark.parametrize("argv", [
+    ("reflect", "--medium", "BENCH10", "--cutoff", "5.38014", "--with-k", "--out", "TRAIN"),
+    ("transmit", "--medium", "BENCH10", "--cutoff", "3.69007", "--with-k",
+     "--merge-tol", "1e-12", "--floor", "1e-9", "--out", "OUT"),
+    ("render", "--train", "TRAIN", "--dt", "0.004", "--n", "2000", "--out", "OUT"),
+    ("render", "--train", "TRAIN", "--wavelet", "ricker:25", "--dt", "0.004",
+     "--n", "300", "--out", "OUT"),
+    ("oracle", "--medium", "LAYERED", "--cutoff", "3"),
+    ("lattice", "--medium", "EQUAL", "--steps", "40"),
+    ("convert", "--medium", "PHYS", "--out", "OUT"),
+    ("reflect", "--medium", "MISSING", "--cutoff", "2"),
+    ("reflect", "--medium", "BAD", "--cutoff", "2"),
+], ids=["reflect", "transmit", "render-spike", "render-ricker", "oracle", "lattice",
+        "convert", "missing-medium", "malformed-medium"])
+def test_command_bodies_leave_no_reference_cycles(tmp_path, capsys, restore_gc, argv):
+    files = {
+        # about 18 000 walks, and 9 920 reflection terms by the last lattice step
+        "LAYERED": "taur v1 M=3\n0.3 0.4\n0.2 -0.3\n0.25 0.2\n0.4 0.5\n",
+        "EQUAL": "taur v1 M=3\n0.5 0.4\n0.5 -0.3\n0.5 0.2\n0.5 0.5\n",
+        "PHYS": "phys v1 M=1\ndepths 0 1 2\nrho 1 1 3\nK 4 4 12\n",
+        "BAD": "taur v1 M=1\n1.0 0.5\nnot-a-number 0\n",
+    }
+    paths = {"BENCH10": str(BENCH10), "TRAIN": str(tmp_path / "train.csv"),
+             "OUT": str(tmp_path / "out.csv"), "MISSING": str(tmp_path / "missing.taur")}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    if argv[0] == "render":
+        assert run("reflect", "--medium", str(BENCH10), "--cutoff", "5.38014",
+                   "--out", paths["TRAIN"]).returncode == 0
+    args = cli.build_parser().parse_args([paths.get(a, a) for a in argv])
+    gc.collect()  # the parser's own cycles
+    gc.disable()
+    try:
+        args.func(args)
+        failed = False
+    except (LayeredEchoError, OSError):
+        failed = True
+    freed = gc.collect()
+    assert failed == (argv[2] in ("MISSING", "BAD"))
+    assert freed < 100
