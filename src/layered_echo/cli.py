@@ -112,18 +112,21 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not (args.tol >= 0.0):
+        raise DomainError(f"--tol must be a non-negative number, got {args.tol}")
     medium = read_medium(args.medium)
     kinds = [args.kind] if args.kind else [REFLECTION, TRANSMISSION]
     tol = args.tol
     worst = 0.0
     mismatches = 0
     for kind in kinds:
-        # pad the walk budget so boundary arrivals cannot drop a class
-        pad = args.cutoff * (1.0 + 1e-9) + 1e-12
-        sums, counts = oracle.tally(medium, kind, pad, limit=args.limit)
+        # the train first: past the term limit, its search stops sooner than the walks
         build = (greens.reflection_green if kind == REFLECTION
                  else greens.transmission_green)
         train = build(medium, args.cutoff)
+        # pad the walk budget so boundary arrivals cannot drop a class
+        pad = args.cutoff * (1.0 + 1e-9) + 1e-12
+        sums, counts = oracle.tally(medium, kind, pad, limit=args.limit)
         for i, (closed, k) in enumerate(zip(train.amps, train.ks)):
             if args.corrupt and i == 0:
                 closed += 1e-3  # test hook: force a detectable deviation
@@ -146,6 +149,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if not (args.tol >= 0.0):
+        raise DomainError(f"--tol must be a non-negative number, got {args.tol}")
     medium = read_medium(args.medium)
     result = goupillaud.simulate(medium, args.steps)
     period = result.period

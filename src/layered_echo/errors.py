@@ -48,4 +48,4 @@ class UnequalTaus(LayeredEchoError, ValueError):
 
 
 class EnumerationLimitExceeded(LayeredEchoError, RuntimeError):
-    """Brute-force enumeration exceeded its configured sequence budget."""
+    """A search or simulation would pass its work limit."""

@@ -15,7 +15,8 @@ interface gives the transmission response on t = |tau'|/2 + j*D.
 This is an independent physics oracle: it exercises the interface
 scattering rules directly, with no combinatorics involved, so agreement
 with the closed-form pulse trains validates amplitudes and sign
-conventions end to end.
+conventions end to end.  Its (2*n_steps + M + 1)*(M + 1) cell updates are
+held to ``transit.MAX_TERMS``, the limit of a transit search.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import DomainError, UnequalTaus
+from . import transit
+from .errors import DomainError, EnumerationLimitExceeded, UnequalTaus
 from .medium import Medium
-from .transit import half_total_time
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,14 @@ def simulate(medium: Medium, n_steps: int) -> LatticeResult:
         raise UnequalTaus(f"layer travel times must all be equal, got {taus}")
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-
     m = medium.n_layers
+    # reflection arrivals live on even half steps, transmission leaves the
+    # stack on half steps of parity M+1
+    total_halves = 2 * n_steps + m + 1
+    if total_halves * (m + 1) > transit.MAX_TERMS:
+        raise EnumerationLimitExceeded(
+            f"{n_steps} steps take more than {transit.MAX_TERMS} cell updates")
+
     refl = medium.reflections
     trans = medium.transmission_coeffs()
 
@@ -66,15 +73,8 @@ def simulate(medium: Medium, n_steps: int) -> LatticeResult:
     down = [0.0] * (m + 1)
     up = [0.0] * (m + 2)
     down[0] = 1.0
-
-    # reflection arrivals live on even half steps, transmission leaves the
-    # stack on half steps of parity M+1
-    total_halves = 2 * n_steps + m + 1
-    try:
-        g_raw = [0.0] * (total_halves + 2)
-        h_raw = [0.0] * (total_halves + 2)
-    except (OverflowError, MemoryError):
-        raise DomainError(f"cannot allocate {n_steps} steps") from None
+    g_raw = [0.0] * (total_halves + 2)
+    h_raw = [0.0] * (total_halves + 2)
 
     for s in range(1, total_halves + 1):
         new_down = [0.0] * (m + 1)
@@ -91,7 +91,7 @@ def simulate(medium: Medium, n_steps: int) -> LatticeResult:
         new_up[0] = 0.0
         down, up = new_down, new_up
 
-    half_stack = half_total_time(medium)
+    half_stack = transit.half_total_time(medium)
     g_times = tuple(j * period for j in range(1, n_steps + 1))
     g = tuple(g_raw[2 * j] for j in range(1, n_steps + 1))
     h_times = tuple(half_stack + j * period for j in range(n_steps))

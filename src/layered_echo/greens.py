@@ -112,8 +112,8 @@ class SampledSignal:
     samples: Tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt = {self.dt} must be positive")
+        if not (0.0 < self.dt < math.inf):
+            raise DomainError(f"dt = {self.dt} must be positive and finite")
 
     def time_axis(self) -> List[float]:
         return [self.t0 + i * self.dt for i in range(len(self.samples))]

@@ -37,6 +37,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 from .errors import DomainError, EnumerationLimitExceeded, InvalidSequence
 from .medium import Medium
 from .transit import (
+    MAX_TERMS,
     REFLECTION,
     TRANSMISSION,
     TransitVector,
@@ -44,7 +45,7 @@ from .transit import (
     transmission_arrival,
 )
 
-DEFAULT_SEQUENCE_LIMIT = 10_000_000
+DEFAULT_SEQUENCE_LIMIT = MAX_TERMS
 
 
 @dataclass(frozen=True)

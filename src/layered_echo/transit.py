@@ -16,12 +16,11 @@ consumer's job.  Arrival times are accumulated strictly left to right
 (k_0*tau_0 first) so that term counts at a given cutoff are deterministic
 and reproducible.  The same search carries the amplitude: each time it
 fixes k_{n+1} it multiplies the per-layer factor s_n(k_n, k_{n+1}) into a
-running product.
+running product, and counts the vectors against MAX_TERMS as it makes them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -139,37 +138,9 @@ class _UnitFactors(dict):
 
 _UNIT_FACTORS = _UnitFactors()
 
-# The most vectors a search may be asked for: the oracle's default walk limit.
+# The most work one search may do: transit vectors for ``terms``, cell
+# updates for ``goupillaud.simulate`` and the oracle's default walk limit.
 MAX_TERMS = 10_000_000
-
-
-def _log_volume(x: float, taus: Sequence[float]) -> float:
-    """log of x^d / (d! * prod taus), the volume of {y >= 0 : <y, taus> <= x}.
-
-    Every point y of that simplex lies in the unit cube of floor(y), a lattice
-    point of the simplex, so the volume is a lower bound on their number.
-    """
-    if not taus:
-        return 0.0 if x >= 0 else -math.inf
-    if x <= 0:
-        return -math.inf
-    d = len(taus)
-    return d * math.log(x) - math.lgamma(d + 1) - math.fsum(math.log(t) for t in taus)
-
-
-def _check_budget(medium: Medium, kind: str, cutoff: float) -> None:
-    """Raise EnumerationLimitExceeded if surely more than MAX_TERMS vectors arrive."""
-    taus = medium.layer_taus
-    if kind == REFLECTION:
-        # support length L: k_1 .. k_{L-1} >= 1, budget left for their excess
-        log_n = max(_log_volume(cutoff - math.fsum(taus[:L]), taus[1:L])
-                    for L in range(1, len(taus) + 1))
-    else:
-        log_n = _log_volume(cutoff - half_total_time(medium), taus[1:])
-    if log_n > math.log(MAX_TERMS):
-        raise EnumerationLimitExceeded(
-            f"{kind} at cutoff {cutoff:g} has more than 10^{log_n / math.log(10):.1f} "
-            f"terms, past the limit of {MAX_TERMS}")
 
 
 def terms(medium: Medium, kind: str, cutoff: float,
@@ -184,8 +155,9 @@ def terms(medium: Medium, kind: str, cutoff: float,
     the amplitude is the product of s_0 .. s_M in that order.  A reflection
     vector is emitted at the end of its support, where the remaining factors
     s(0, 0) are exactly 1.0 and are not multiplied in.  The order of the
-    vectors is unspecified.  Raises EnumerationLimitExceeded, before the
-    search, when the cutoff admits more than MAX_TERMS vectors for sure.
+    vectors is unspecified.  Raises EnumerationLimitExceeded if and only if
+    more than MAX_TERMS vectors arrive: the search counts them as it makes
+    them, and stops at once when one node surely has too many children.
     """
     taus = medium.layer_taus
     m1 = len(taus)
@@ -197,7 +169,10 @@ def terms(medium: Medium, kind: str, cutoff: float,
         root, t0, first, emit_all = (0,), half_total_time(medium), 0, False
     if t0 > cutoff:
         return
-    _check_budget(medium, kind, cutoff)
+    # vectors still allowed: every reflection node counts (the root now, the
+    # rest when pushed); for transmission only the pushes with n + 1 == m1
+    left = MAX_TERMS - emit_all
+    count_from = 1 if emit_all else m1 - 1
     # (index n of the next entry to fix, k_0 .. k_{n-1}, time so far,
     # s_0 * .. * s_{n-2}); an explicit stack, so a yield costs O(1) at any depth
     stack = [(1, root, t0, 1.0)]
@@ -212,12 +187,23 @@ def terms(medium: Medium, kind: str, cutoff: float,
         if emit_all:
             yield t, prefix + (0,) * (m1 - n), amp * factors[n - 1, kp, 0]
         tau = taus[n]
+        # there are at least (cutoff - t)/tau - 1 children and each holds a
+        # vector not counted yet; the + 2 absorbs rounding
+        if cutoff - t > (left + 2) * tau:
+            break
         kn = first
         tn = t + kn * tau
         while tn <= cutoff:
             push((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
             kn += 1
             tn = t + kn * tau
+        if n >= count_from:
+            left -= kn - first
+            if left < 0:
+                break
+    else:
+        return
+    raise EnumerationLimitExceeded(f"more than {MAX_TERMS} {kind} terms arrive by {cutoff:g}")
 
 
 def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:

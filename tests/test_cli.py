@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import BENCH10
-from layered_echo import cli
+from layered_echo import cli, transit
 from layered_echo.errors import LayeredEchoError
 
 PKG = [sys.executable, "-m", "layered_echo"]
@@ -303,10 +303,11 @@ def test_bench10_train_csv_variants_are_pinned(args, rows, digest):
     assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("kind", ["reflect", "transmit"])
-def test_huge_cutoff_exits_at_once(kind):
-    # bench10 has more than 10^2999 vectors by 1e300 s: refused before the search
-    res = run(kind, "--medium", str(BENCH10), "--cutoff", "1e300", timeout=10)
+@pytest.mark.parametrize("command", ["reflect", "transmit", "oracle"])
+def test_huge_cutoff_exits_at_once(command):
+    # bench10 has more than 10^2999 vectors by 1e300 s: the first node of the
+    # search alone has more children than the term limit, so it stops there
+    res = run(command, "--medium", str(BENCH10), "--cutoff", "1e300", timeout=10)
     assert_one_error_line(res)
     assert res.stdout == ""
 
@@ -341,16 +342,24 @@ def test_closed_stdout_pipe_is_usage_error():
     assert "Broken pipe" in stderr
 
 
-@pytest.mark.parametrize("flag", ["--merge-tol", "--floor"])
-def test_nan_merge_tolerance_or_floor_is_usage_error(small_medium, flag):
-    res = run("reflect", "--medium", small_medium, "--cutoff", "2", flag, "nan")
+@pytest.mark.parametrize("args", [
+    ("reflect", "--cutoff", "2", "--merge-tol", "nan"),
+    ("reflect", "--cutoff", "2", "--floor", "nan"),
+    # `worst > nan` is false, so a nan tolerance would pass any deviation
+    ("oracle", "--cutoff", "2", "--corrupt", "--tol", "nan"),
+    ("lattice", "--corrupt", "--tol", "nan"),
+    ("oracle", "--cutoff", "2", "--tol", "-1"),
+    ("lattice", "--tol", "-1"),
+], ids=["--merge-tol", "--floor", "oracle-tol", "lattice-tol",
+        "oracle-negative-tol", "lattice-negative-tol"])
+def test_nan_merge_tolerance_or_floor_is_usage_error(small_medium, args):
+    res = run(args[0], "--medium", small_medium, *args[1:])
     assert_one_error_line(res)
     assert res.stdout == ""
 
 
-# 10**20 does not fit an index (OverflowError); 2**62 floats, or 2**61 steps
-# (two samples each), are more bytes than the address space (MemoryError).
-# Both fail at once, allocating nothing.
+# 10**20 does not fit an index (OverflowError); 2**62 floats are more bytes
+# than the address space (MemoryError).  Both fail at once, allocating nothing.
 @pytest.mark.parametrize("n", [str(10**20), str(2**62)], ids=["overflow", "memory"])
 def test_render_oversized_sample_count_is_usage_error(small_medium, tmp_path, n):
     train = tmp_path / "train.csv"
@@ -360,11 +369,23 @@ def test_render_oversized_sample_count_is_usage_error(small_medium, tmp_path, n)
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("steps", [str(10**20), str(2**61)], ids=["overflow", "memory"])
+# 6 000 002 half steps of 2 cells each pass the limit of 10^7 cell updates;
+# every count is refused before the lattice allocates anything
+@pytest.mark.parametrize("steps", [str(10**20), str(2**61), "3000000"],
+                         ids=["overflow", "memory", "work"])
 def test_lattice_oversized_step_count_is_usage_error(small_medium, steps):
-    res = run("lattice", "--medium", small_medium, "--steps", steps, timeout=60)
+    res = run("lattice", "--medium", small_medium, "--steps", steps, timeout=10)
     assert_one_error_line(res)
     assert res.stdout == ""
+
+
+def test_term_limit_exits_2_without_output(capsys, monkeypatch):
+    # bench10 has 19 242 reflection vectors by 5.38014 s
+    monkeypatch.setattr(transit, "MAX_TERMS", 19241)
+    code = cli.main(["reflect", "--medium", str(BENCH10), "--cutoff", "5.38014"])
+    out, err = capsys.readouterr()
+    assert_one_error_line(subprocess.CompletedProcess([], code, out, err))
+    assert out == ""
 
 
 @pytest.fixture

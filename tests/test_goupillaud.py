@@ -3,12 +3,14 @@ import random
 import pytest
 
 from layered_echo import (
+    EnumerationLimitExceeded,
     UnequalTaus,
     make_medium,
     merge_ties,
     reflection_green,
     transmission_green,
 )
+from layered_echo import transit
 from layered_echo.goupillaud import simulate
 
 
@@ -47,6 +49,16 @@ def test_bad_step_count_rejected():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     with pytest.raises(ValueError):
         simulate(m, 0)
+
+
+def test_cell_updates_are_held_to_the_term_limit(monkeypatch):
+    # M = 1 and 10 steps: (2*10 + 1 + 1) half steps of 2 cells each
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    monkeypatch.setattr(transit, "MAX_TERMS", 44)
+    assert len(simulate(m, 10).g) == 10
+    monkeypatch.setattr(transit, "MAX_TERMS", 43)
+    with pytest.raises(EnumerationLimitExceeded):
+        simulate(m, 10)
 
 
 def _train_on_grid(train, times, period):

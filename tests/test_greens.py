@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import REFLECT_CUTOFF, TRANSMIT_CUTOFF
 from layered_echo import (
     DomainError,
     EnumerationLimitExceeded,
@@ -21,9 +22,9 @@ from layered_echo import (
     transmission_green,
     write_train_csv,
 )
-from layered_echo import greens
+from layered_echo import greens, transit
 from layered_echo.amplitudes import amplitude
-from layered_echo.greens import read_train_csv, write_signal_csv
+from layered_echo.greens import SampledSignal, read_train_csv, write_signal_csv
 from layered_echo.oracle import enumerate_sequences, stats, tally
 from layered_echo.transit import (
     TRANSMISSION,
@@ -170,11 +171,28 @@ def test_no_pulse_term_is_made_until_terms_is_read(monkeypatch):
     assert read.terms[0] == PulseTerm(read.times[0], read.amps[0], read.ks[0])
 
 
-def test_huge_cutoff_is_refused_before_the_search(bench10):
+def test_huge_cutoff_is_refused_at_once(bench10):
     with pytest.raises(EnumerationLimitExceeded):
         reflection_green(bench10, 1e300)
     with pytest.raises(EnumerationLimitExceeded):
         transmission_green(bench10, 1e300)
+
+
+@pytest.mark.parametrize("build", [reflection_green, transmission_green],
+                         ids=["reflection", "transmission"])
+@pytest.mark.parametrize("name", ["bench10", "two-layer"])
+def test_term_limit_is_exact(bench10, monkeypatch, build, name):
+    # the search raises if and only if more than MAX_TERMS vectors arrive
+    medium, cutoff = {
+        "bench10": (bench10, REFLECT_CUTOFF if build is reflection_green else TRANSMIT_CUTOFF),
+        "two-layer": (make_medium((0.3, 0.7, 0.45), 0.2, (0.4, -0.5, 0.3)), 6.0),
+    }[name]
+    full = build(medium, cutoff)
+    monkeypatch.setattr(transit, "MAX_TERMS", len(full))
+    assert build(medium, cutoff) == full
+    monkeypatch.setattr(transit, "MAX_TERMS", len(full) - 1)
+    with pytest.raises(EnumerationLimitExceeded):
+        build(medium, cutoff)
 
 
 def test_merge_groups_are_anchored_at_their_first_time():
@@ -365,6 +383,12 @@ def test_signal_csv():
     buf = io.StringIO()
     write_signal_csv(sig, buf)
     assert buf.getvalue().splitlines() == ["time,value", "0,0", "0.5,0", "1,1"]
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
+def test_sampled_signal_needs_positive_finite_dt(dt):
+    with pytest.raises(DomainError):
+        SampledSignal(0.0, dt, (1.0,))
 
 
 @st.composite
