@@ -5,8 +5,9 @@ Pulse trains and sampled signals go to stdout (or --out) as CSV; summary
 metrics go to stderr so stdout stays pipeline-clean.  Exit codes: 0 on
 success, 1 on verification failure (oracle/lattice deviation), 2 on
 usage, parse or validation errors and on any failure to read or write a
-file or pipe.  The subcommands raise; ``main`` alone turns a
-``LayeredEchoError`` or ``OSError`` into one ``error:`` line and exit 2.
+file or pipe, and when memory runs out.  The subcommands raise; ``main``
+alone turns a ``LayeredEchoError``, ``OSError`` or ``MemoryError`` into
+one ``error:`` line and exit 2.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 leaves it as it found it.  A build allocates a few container objects per
@@ -28,7 +29,7 @@ import time
 from contextlib import contextmanager
 from typing import Optional
 
-from . import goupillaud, greens, oracle
+from . import goupillaud, greens, oracle, transit
 from .amplitudes import class_count
 from .errors import DomainError, LayeredEchoError
 from .medium import read_medium, write_medium
@@ -119,6 +120,7 @@ def _cmd_oracle(args) -> int:
     tol = args.tol
     worst = 0.0
     mismatches = 0
+    missing = 0
     for kind in kinds:
         # the train first: past the term limit, its search stops sooner than the walks
         build = (greens.reflection_green if kind == REFLECTION
@@ -126,13 +128,22 @@ def _cmd_oracle(args) -> int:
         train = build(medium, args.cutoff)
         # pad the walk budget so boundary arrivals cannot drop a class
         pad = args.cutoff * (1.0 + 1e-9) + 1e-12
-        sums, counts = oracle.tally(medium, kind, pad, limit=args.limit)
+        sums, counts = oracle.tally(medium, kind, pad)
         for i, (closed, k) in enumerate(zip(train.amps, train.ks)):
             if args.corrupt and i == 0:
                 closed += 1e-3  # test hook: force a detectable deviation
             brute = sums.get(k, 0.0)
             scale = max(abs(brute), abs(closed), 1e-300)
             worst = max(worst, abs(closed - brute) / scale)
+        # a walk-found vector the train lacks; the arrival functions give the
+        # search's own floats, so the pad cannot make a false alarm
+        arrival = (transit.reflection_arrival if kind == REFLECTION
+                   else transit.transmission_arrival)
+        in_train = set(train.ks)
+        for k in sums:
+            if k not in in_train and arrival(k, medium) <= args.cutoff:
+                missing += 1
+                print(f"missing transit vector {kind} k={k}", file=sys.stderr)
         for (k, b), count in counts.items():
             tv = TransitVector(k, kind)
             expected = class_count(tv, b)
@@ -143,7 +154,8 @@ def _cmd_oracle(args) -> int:
         print(f"{kind}: vectors={len(train)} classes={len(counts)}", file=sys.stderr)
     print(f"max relative amplitude deviation: {worst:.3e}")
     print(f"class count mismatches: {mismatches}")
-    if worst > tol or mismatches:
+    print(f"missing transit vectors: {missing}")
+    if worst > tol or mismatches or missing:
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -229,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, required=True)
     p.add_argument("--kind", choices=[REFLECTION, TRANSMISSION], default=None)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_SEQUENCE_LIMIT)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_oracle)
 
@@ -270,6 +281,9 @@ def main(argv=None) -> int:
                 # devnull, or the interpreter's flush at exit fails again
                 with open(os.devnull, "w") as devnull:
                     os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if gc_was_enabled:

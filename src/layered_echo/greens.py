@@ -5,11 +5,11 @@ triples up to a cutoff, sorted by time with lexicographic transit-vector
 tie break.  Coincident arrivals are NOT merged by default -- the train is
 indexed per transit vector -- merging is an explicit post-pass.
 
-A train is stored as three parallel tuples, ``times``, ``amps`` and
-``ks``; the builders, ``merge_ties``, ``read_train_csv``,
+A train is a frozen dataclass of three parallel tuples, ``times``,
+``amps`` and ``ks``; the builders, ``merge_ties``, ``read_train_csv``,
 ``write_train_csv`` and ``convolve`` work on those columns.  The
 ``PulseTerm`` objects of ``PulseTrain.terms`` are made only when that
-property is first read.
+property is read, anew each time.
 
 A train build evaluates each distinct per-layer factor once.
 """
@@ -17,7 +17,7 @@ A train build evaluates each distinct per-layer factor once.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, TextIO, Tuple
 
 from . import transit
@@ -37,62 +37,33 @@ class PulseTerm:
     k: Tuple[int, ...]
 
 
+@dataclass(frozen=True, repr=False)
 class PulseTrain:
     """A delta train: ``kind``, ``cutoff`` and the parallel columns
     ``times``, ``amps`` and ``ks`` (term i is times[i], amps[i], ks[i]).
 
-    ``PulseTrain(kind, cutoff, terms)`` builds the columns from
-    ``PulseTerm``s.  ``terms`` gives the train as ``PulseTerm``s, made on
-    first access and kept.  Trains are immutable; two are equal when kind,
-    cutoff and every term are.
+    ``PulseTrain.from_terms(kind, cutoff, terms)`` builds the columns from
+    ``PulseTerm``s, and ``terms`` makes them back from the columns.  Trains
+    are immutable; two are equal when kind, cutoff and every column are.
     """
 
-    __slots__ = ("kind", "cutoff", "times", "amps", "ks", "_terms")
-
-    def __init__(self, kind: str, cutoff: float, terms: Iterable[PulseTerm]) -> None:
-        terms = tuple(terms)
-        self._fill(kind, cutoff, tuple([t.time for t in terms]),
-                   tuple([t.amplitude for t in terms]), tuple([t.k for t in terms]), terms)
+    kind: str
+    cutoff: float
+    times: Tuple[float, ...]
+    amps: Tuple[float, ...]
+    ks: Tuple[Tuple[int, ...], ...]
 
     @classmethod
-    def _from_columns(cls, kind: str, cutoff: float, times: Tuple[float, ...],
-                      amps: Tuple[float, ...],
-                      ks: Tuple[Tuple[int, ...], ...]) -> "PulseTrain":
-        train = object.__new__(cls)
-        train._fill(kind, cutoff, times, amps, ks, None)
-        return train
-
-    def _fill(self, *values) -> None:  # values in __slots__ order
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def from_terms(cls, kind: str, cutoff: float,
+                   terms: Iterable[PulseTerm]) -> "PulseTrain":
+        terms = tuple(terms)
+        return cls(kind, cutoff, tuple([t.time for t in terms]),
+                   tuple([t.amplitude for t in terms]), tuple([t.k for t in terms]))
 
     @property
     def terms(self) -> Tuple[PulseTerm, ...]:
-        """The train as ``PulseTerm``s, made on first access and then kept."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms",
-                               tuple(map(PulseTerm, self.times, self.amps, self.ks)))
-        return self._terms
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.kind, self.cutoff, self.times, self.amps, self.ks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (PulseTrain._from_columns, self._key())
+        """The train as ``PulseTerm``s, made anew on each access."""
+        return tuple(map(PulseTerm, self.times, self.amps, self.ks))
 
     def __repr__(self) -> str:
         return (f"PulseTrain(kind={self.kind!r}, cutoff={self.cutoff!r}, "
@@ -100,9 +71,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def amplitudes(self) -> List[float]:
-        return list(self.amps)
 
 
 @dataclass(frozen=True)
@@ -131,7 +99,7 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
         rows = [row for row in rows if abs(row[2]) >= amplitude_floor]
     # the columns share the float and tuple objects the search made
     times, ks, amps = zip(*rows) if rows else ((), (), ())
-    return PulseTrain._from_columns(kind, cutoff, times, amps, ks)
+    return PulseTrain(kind, cutoff, times, amps, ks)
 
 
 def reflection_green(medium: Medium, cutoff: float, *,
@@ -189,8 +157,7 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
             m_amps.append(total)
             m_ks.append(min(ks[lo:hi]))
     m_times = tuple([times[lo] for lo in starts[:-1]])
-    return PulseTrain._from_columns(train.kind, train.cutoff, m_times, tuple(m_amps),
-                                    tuple(m_ks))
+    return PulseTrain(train.kind, train.cutoff, m_times, tuple(m_amps), tuple(m_ks))
 
 
 def ricker(peak_freq: float) -> Callable[[float], float]:
@@ -331,7 +298,7 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     except UnicodeDecodeError as exc:
         where = getattr(stream, "name", "train CSV")
         raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None
-    return PulseTrain._from_columns(kind, cutoff, tuple(times), tuple(amps), tuple(ks))
+    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), tuple(ks))
 
 
 def write_signal_csv(signal: SampledSignal, stream: TextIO) -> None:

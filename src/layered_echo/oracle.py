@@ -25,7 +25,8 @@ read the same quantities off a finished ``ScatteringSequence`` and are the
 per-sequence reference the tests compare the search against.
 
 This module is exponential by design -- it exists to validate the closed
-forms at desk scale -- and guards itself with a sequence-count budget.
+forms at desk scale -- and holds its walk count to ``transit.MAX_TERMS``,
+the limit of a transit search, read when a search starts.
 """
 
 from __future__ import annotations
@@ -34,18 +35,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
+from . import transit
 from .errors import DomainError, EnumerationLimitExceeded, InvalidSequence
 from .medium import Medium
 from .transit import (
-    MAX_TERMS,
     REFLECTION,
     TRANSMISSION,
     TransitVector,
     reflection_arrival,
     transmission_arrival,
 )
-
-DEFAULT_SEQUENCE_LIMIT = MAX_TERMS
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,7 @@ def leg_time(seq: ScatteringSequence, medium: Medium) -> float:
     return t
 
 
-def walks(medium: Medium, kind: str, cutoff: float,
-          limit: int = DEFAULT_SEQUENCE_LIMIT) -> Iterator[tuple]:
+def walks(medium: Medium, kind: str, cutoff: float) -> Iterator[tuple]:
     """Yield (path, k, b, weight) for every walk of the given kind arriving
     by the cutoff, once each.
 
@@ -160,8 +158,8 @@ def walks(medium: Medium, kind: str, cutoff: float,
     the product of the per-visit factors, multiplied left to right as
     ``weight()`` multiplies them, and ``k``/``b`` are the transit and branch
     count tuples.  ``path`` is the live list of depths, valid until the next
-    walk is requested.  Raises EnumerationLimitExceeded past ``limit`` walks
-    and DomainError for a non-finite cutoff.
+    walk is requested.  Raises EnumerationLimitExceeded past
+    ``transit.MAX_TERMS`` walks and DomainError for a non-finite cutoff.
     """
     if not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
@@ -192,6 +190,7 @@ def walks(medium: Medium, kind: str, cutoff: float,
     if t0 + exit_cost[0] > cutoff:
         return
 
+    limit = transit.MAX_TERMS
     emitted = 0
     path = [-1]
     # (interface v, the one before it, time on arrival at v, product of the
@@ -241,38 +240,33 @@ def walks(medium: Medium, kind: str, cutoff: float,
         yield item
 
 
-def enumerate_sequences(medium: Medium, kind: str, cutoff: float,
-                        limit: int = DEFAULT_SEQUENCE_LIMIT
-                        ) -> Iterator[ScatteringSequence]:
+def enumerate_sequences(medium: Medium, kind: str,
+                        cutoff: float) -> Iterator[ScatteringSequence]:
     """Yield every walk of the given kind arriving by the cutoff, once each,
-    in the order of ``walks``.  Raises EnumerationLimitExceeded past
-    ``limit`` emitted sequences.
+    in the order of ``walks``, which holds them to its limit.
     """
     return (ScatteringSequence(tuple(path), kind)
-            for path, _, _, _ in walks(medium, kind, cutoff, limit))
+            for path, _, _, _ in walks(medium, kind, cutoff))
 
 
-def tally(medium: Medium, kind: str, cutoff: float,
-          limit: int = DEFAULT_SEQUENCE_LIMIT) -> Tuple[Dict, Dict]:
+def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
     """One walk pass: (weight_sums_by_vector, class_counts) of the same walks."""
     sums: Dict[Tuple[int, ...], float] = {}
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for _, k, b, w in walks(medium, kind, cutoff, limit):
+    for _, k, b, w in walks(medium, kind, cutoff):
         sums[k] = sums.get(k, 0.0) + w
         key = k, b
         counts[key] = counts.get(key, 0) + 1
     return sums, counts
 
 
-def class_counts(medium: Medium, kind: str, cutoff: float,
-                 limit: int = DEFAULT_SEQUENCE_LIMIT
+def class_counts(medium: Medium, kind: str, cutoff: float
                  ) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]:
     """Exact number of walks per (transit vector, branch vector) class."""
-    return tally(medium, kind, cutoff, limit)[1]
+    return tally(medium, kind, cutoff)[1]
 
 
-def weight_sums_by_vector(medium: Medium, kind: str, cutoff: float,
-                          limit: int = DEFAULT_SEQUENCE_LIMIT
-                          ) -> Dict[Tuple[int, ...], float]:
+def weight_sums_by_vector(medium: Medium, kind: str,
+                          cutoff: float) -> Dict[Tuple[int, ...], float]:
     """Sum of walk weights grouped by transit vector."""
-    return tally(medium, kind, cutoff, limit)[0]
+    return tally(medium, kind, cutoff)[0]

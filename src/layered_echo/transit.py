@@ -139,7 +139,7 @@ class _UnitFactors(dict):
 _UNIT_FACTORS = _UnitFactors()
 
 # The most work one search may do: transit vectors for ``terms``, cell
-# updates for ``goupillaud.simulate`` and the oracle's default walk limit.
+# updates for ``goupillaud.simulate`` and walks for ``oracle.walks``.
 MAX_TERMS = 10_000_000
 
 

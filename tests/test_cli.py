@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import BENCH10
-from layered_echo import cli, transit
+from layered_echo import cli, greens, transit
 from layered_echo.errors import LayeredEchoError
 
 PKG = [sys.executable, "-m", "layered_echo"]
@@ -115,6 +115,30 @@ def test_oracle_pass_and_corrupt(small_medium):
     assert "max relative amplitude deviation" in res.stdout
     bad = run("oracle", "--medium", small_medium, "--cutoff", "4", "--corrupt")
     assert bad.returncode == 1
+
+
+def test_oracle_fails_when_the_train_lacks_a_vector(tmp_path, capsys, monkeypatch):
+    medium = tmp_path / "m2.taur"
+    medium.write_text("taur v1 M=2\n1.0 0.5\n0.7 -0.3\n1.3 0.4\n")
+    # both kinds have an arrival at 5.0, inside the walks' padded budget
+    # for the lower cutoff but beyond the cutoff itself
+    for cutoff in ("6", "4.9999999999"):
+        assert cli.main(["oracle", "--medium", str(medium), "--cutoff", cutoff]) == 0
+        assert "missing transit vectors: 0\n" in capsys.readouterr().out
+    argv = ["oracle", "--medium", str(medium), "--cutoff", "6"]
+    search = transit.terms
+
+    def drop_one(*args):
+        rows = list(search(*args))
+        del rows[len(rows) // 2]
+        return iter(rows)
+
+    monkeypatch.setattr(transit, "terms", drop_one)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "class count mismatches: 0\n" in out
+    assert "missing transit vectors: 2\n" in out  # one per kind
+    assert len([line for line in err.splitlines() if "missing" in line]) == 2
 
 
 def test_lattice_pass_and_corrupt(small_medium):
@@ -385,6 +409,18 @@ def test_term_limit_exits_2_without_output(capsys, monkeypatch):
     code = cli.main(["reflect", "--medium", str(BENCH10), "--cutoff", "5.38014"])
     out, err = capsys.readouterr()
     assert_one_error_line(subprocess.CompletedProcess([], code, out, err))
+    assert out == ""
+
+
+def test_out_of_memory_exits_2_without_traceback(small_medium, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(greens, "reflection_green", exhausted)
+    code = cli.main(["reflect", "--medium", small_medium, "--cutoff", "2"])
+    out, err = capsys.readouterr()
+    assert_one_error_line(subprocess.CompletedProcess([], code, out, err))
+    assert err == "error: out of memory\n"
     assert out == ""
 
 

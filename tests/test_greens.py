@@ -1,7 +1,10 @@
+import copy
 import gc
 import io
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,10 +130,10 @@ def test_train_from_terms_matches_the_built_train(build):
     # commensurate travel times, so merge_ties has ties to combine
     m = make_medium((0.3, 0.2, 0.25, 0.4), 0.1, (0.4, -0.3, 0.2, 0.5))
     built = build(m, 4.5)
-    again = PulseTrain(built.kind, built.cutoff, built.terms)
+    again = PulseTrain.from_terms(built.kind, built.cutoff, built.terms)
     assert again == built and hash(again) == hash(built)
     assert len(again) == len(built) > 100
-    assert again.amplitudes() == built.amplitudes()
+    assert again.amps == built.amps
     for with_k in (False, True):
         assert _csv(again, with_k) == _csv(built, with_k)
     merged = merge_ties(built)
@@ -144,10 +147,25 @@ def test_train_from_terms_matches_the_built_train(build):
 
 def test_empty_train_writes_only_the_header():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
-    for train in (PulseTrain(REFLECTION, 2.0, ()), reflection_green(m, 0.5)):
+    for train in (PulseTrain.from_terms(REFLECTION, 2.0, ()), reflection_green(m, 0.5)):
         assert len(train) == 0
         assert _csv(train, False) == "time,amplitude\n"
         assert _csv(train, True) == "time,amplitude,k\n"
+
+
+def test_train_is_a_value(bench10):
+    train = reflection_green(bench10, 3.0)
+    assert len(train) > 10
+    for again in (pickle.loads(pickle.dumps(train)), copy.deepcopy(train), copy.copy(train)):
+        assert again == train and hash(again) == hash(train)
+        assert (again.kind, again.cutoff, again.times, again.amps, again.ks) == \
+               (train.kind, train.cutoff, train.times, train.amps, train.ks)
+    for field in ("kind", "cutoff", "times", "amps", "ks"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(train, field, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(train, field)
+    assert repr(train) == f"PulseTrain(kind='reflection', cutoff=3.0, <{len(train)} terms>)"
 
 
 def test_no_pulse_term_is_made_until_terms_is_read(monkeypatch):
@@ -167,7 +185,6 @@ def test_no_pulse_term_is_made_until_terms_is_read(monkeypatch):
     convolve(read, "spike", 0.0, 0.1, 60)
     assert read == merged
     monkeypatch.undo()
-    assert read.terms is read.terms  # made once, then kept
     assert read.terms[0] == PulseTerm(read.times[0], read.amps[0], read.ks[0])
 
 
@@ -200,7 +217,7 @@ def test_merge_groups_are_anchored_at_their_first_time():
     # the first: chaining would merge all three
     times = (1.0, 1.0 + 0.6e-6, 1.0 + 1.2e-6)
     terms = tuple(PulseTerm(t, 1.0, (1, i)) for i, t in enumerate(times))
-    merged = merge_ties(PulseTrain(REFLECTION, 2.0, terms), 1e-6)
+    merged = merge_ties(PulseTrain.from_terms(REFLECTION, 2.0, terms), 1e-6)
     assert [(t.time, t.amplitude, t.k) for t in merged.terms] == [
         (1.0, 2.0, (1, 0)), (times[2], 1.0, (1, 2))]
 
@@ -231,7 +248,7 @@ def test_merge_zero_tol_only_bit_identical():
     terms = (PulseTerm(1.0, 0.5, (1, 0)),
              PulseTerm(1.0, 0.25, (1, 1)),
              PulseTerm(1.0 + 1e-15, 0.25, (1, 2)))
-    train = PulseTrain(REFLECTION, 2.0, terms)
+    train = PulseTrain.from_terms(REFLECTION, 2.0, terms)
     merged = merge_ties(train, 0.0)
     assert len(merged) == 2
     assert merged.terms[0].amplitude == 0.75
@@ -256,7 +273,7 @@ def test_merged_train_matches_oracle_arrival_groups():
 
 
 def test_convolve_spike():
-    train = PulseTrain(REFLECTION, 2.0, (PulseTerm(1.0, 1.0, (1,)),))
+    train = PulseTrain.from_terms(REFLECTION, 2.0, (PulseTerm(1.0, 1.0, (1,)),))
     sig = convolve(train, "spike", 0.0, 0.5, 5)
     assert sig.samples == (0.0, 0.0, 1.0, 0.0, 0.0)
 
@@ -265,12 +282,12 @@ def test_convolve_spike_skips_terms_whose_bin_index_overflows():
     terms = (PulseTerm(-1.5e308, 4.0, (1, 2)), PulseTerm(1.0, 1.0, (1,)),
              PulseTerm(1.5e308, 2.0, (1, 1)))
     # (time - t0) / dt is -inf and +inf for the outer terms
-    sig = convolve(PulseTrain(REFLECTION, 2e308, terms), "spike", 0.0, 0.5, 4)
+    sig = convolve(PulseTrain.from_terms(REFLECTION, 2e308, terms), "spike", 0.0, 0.5, 4)
     assert sig.samples == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_convolve_empty_train():
-    train = PulseTrain(REFLECTION, 2.0, ())
+    train = PulseTrain.from_terms(REFLECTION, 2.0, ())
     sig = convolve(train, "spike", 0.0, 0.5, 4)
     assert sig.samples == (0.0, 0.0, 0.0, 0.0)
 
@@ -278,7 +295,7 @@ def test_convolve_empty_train():
 def test_ricker_unit_peak():
     w = ricker(25.0)
     assert w(0.0) == 1.0
-    train = PulseTrain(REFLECTION, 2.0, (PulseTerm(0.8, -0.4, (1,)),))
+    train = PulseTrain.from_terms(REFLECTION, 2.0, (PulseTerm(0.8, -0.4, (1,)),))
     sig = convolve(train, w, 0.8, 0.01, 1)
     assert sig.samples[0] == pytest.approx(-0.4, abs=0)
 
@@ -317,7 +334,7 @@ def _trains_and_grids(draw):
     amps = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(times), max_size=len(times)))
     terms = tuple(PulseTerm(t, a, (1,)) for t, a in zip(times, amps))
     wavelet = draw(st.sampled_from([w, lambda t: w(t)]))  # the lambda has no radius
-    return PulseTrain(REFLECTION, 1.0, terms), wavelet, t0, dt, n
+    return PulseTrain.from_terms(REFLECTION, 1.0, terms), wavelet, t0, dt, n
 
 
 @settings(max_examples=300, deadline=None)
@@ -333,8 +350,9 @@ def test_windowed_convolve_exact_when_rounding_exceeds_the_radius():
     # at t0 = 1e20 a step of dt = 1 rounds away: thousands of samples share
     # the term's time, far more than the one-sample margin around it
     w = ricker(25.0)
-    train = PulseTrain(REFLECTION, 2e20, (PulseTerm(1e20, 0.5, (1,)),
-                                          PulseTerm(1e20 + 16384.0, -0.25, (1,))))
+    train = PulseTrain.from_terms(REFLECTION, 2e20,
+                                  (PulseTerm(1e20, 0.5, (1,)),
+                                   PulseTerm(1e20 + 16384.0, -0.25, (1,))))
     got = convolve(train, w, 1e20, 1.0, 20000).samples
     want = _convolve_every_sample(train, w, 1e20, 1.0, 20000)
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -378,7 +396,7 @@ def test_train_csv_header_without_k():
 
 
 def test_signal_csv():
-    train = PulseTrain(REFLECTION, 2.0, (PulseTerm(1.0, 1.0, (1,)),))
+    train = PulseTrain.from_terms(REFLECTION, 2.0, (PulseTerm(1.0, 1.0, (1,)),))
     sig = convolve(train, "spike", 0.0, 0.5, 3)
     buf = io.StringIO()
     write_signal_csv(sig, buf)

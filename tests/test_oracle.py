@@ -1,5 +1,6 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from layered_echo import (
     make_medium,
     reflection_amplitude,
 )
+from layered_echo import transit
 from layered_echo.amplitudes import class_count
 from layered_echo.oracle import (
     ScatteringSequence,
@@ -120,10 +122,11 @@ def test_enumerate_sequences_transmission_m1():
     assert got == {(-1, 0, 1, 2)}
 
 
-def test_sequence_limit_guard():
+def test_sequence_limit_guard(monkeypatch):
     m = make_medium((1.0, 1.0, 1.0), 0.0, (0.5, 0.5, 0.5))
+    monkeypatch.setattr(transit, "MAX_TERMS", 10)
     with pytest.raises(EnumerationLimitExceeded):
-        list(enumerate_sequences(m, REFLECTION, 20.0, limit=10))
+        list(enumerate_sequences(m, REFLECTION, 20.0))
 
 
 def test_arrival_equals_leg_sum():
@@ -279,9 +282,11 @@ def test_walks_match_the_per_sequence_reference(case):
     assert [(k, s.hex()) for k, s in got_sums.items()] == [(k, s.hex()) for k, s in sums.items()]
     assert list(got_counts.items()) == list(counts.items())
     if got:
-        with pytest.raises(EnumerationLimitExceeded):
-            tally(medium, kind, cutoff, limit=len(got) - 1)
-        assert sum(tally(medium, kind, cutoff, limit=len(got))[1].values()) == len(got)
+        with patch.object(transit, "MAX_TERMS", len(got) - 1):
+            with pytest.raises(EnumerationLimitExceeded):
+                tally(medium, kind, cutoff)
+        with patch.object(transit, "MAX_TERMS", len(got)):
+            assert sum(tally(medium, kind, cutoff)[1].values()) == len(got)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             tally(medium, kind, bad)
