@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, Iterable, List, TextIO, Tuple
 
 from . import transit
@@ -198,8 +199,12 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
     exactly +-0.0, so the signal is bit-identical to the sum over every
     sample.  Where rounding of huge times could move a sample across the
     radius, that term takes the whole grid.  A callable without ``radius``
-    is evaluated on the whole grid.  Cost: O(terms + sum of the windows)
-    wavelet calls instead of O(samples x terms).
+    is evaluated on the whole grid.  A term at or after
+    t0 + (n_samples + 2)*dt + radius reaches no sample and is skipped
+    before any window arithmetic, unless rounding at that time could
+    reach the grid, when no term is skipped.  Cost: O(terms + sum of the
+    windows) wavelet calls instead of O(samples x terms), and only a
+    comparison for each term past the grid's far edge.
     Term times and amplitudes must be finite (``read_train_csv`` checks).
     """
     if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t0)):
@@ -221,19 +226,38 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
                     samples[idx] += aj
     else:
         radius = getattr(wavelet, "radius", math.inf)
+        # every step of _window's arithmetic is monotone in the term time, so
+        # if a term at t_far gets an empty window at the grid's end, every
+        # later one does too; otherwise (huge times, no radius) cut nothing.
+        # Two samples past the last, not one, so that a rounding of
+        # (t_far - radius - t0) / dt to just under n_samples + 1 still cuts
+        t_far = t0 + (n + 2.0) * dt + radius
+        if _window(t_far, t0, dt, n_samples, radius) != (n_samples, n_samples):
+            t_far = math.inf
         for tj, aj in zip(train.times, train.amps):
-            # clamp in float: int() of a huge or infinite quotient would overflow
-            lo = int(max(0.0, min(n, (tj - radius - t0) / dt - 1.0)))
-            hi = int(max(0.0, min(n, (tj + radius - t0) / dt + 2.0)))
-            # t0 + i*dt - tj is monotone in i, so if the samples just outside
-            # the window lie at or beyond the radius, all the skipped ones do;
-            # when rounding of huge times breaks that, take the whole grid
-            if ((lo > 0 and t0 + (lo - 1) * dt - tj > -radius)
-                    or (hi < n_samples and t0 + hi * dt - tj < radius)):
-                lo, hi = 0, n_samples
+            if tj >= t_far:
+                continue
+            lo, hi = _window(tj, t0, dt, n_samples, radius)
             for i in range(lo, hi):
                 samples[i] += aj * wavelet(t0 + i * dt - tj)
     return SampledSignal(t0, dt, tuple(samples))
+
+
+def _window(tj: float, t0: float, dt: float, n_samples: int,
+            radius: float) -> Tuple[int, int]:
+    """The samples [lo, hi) a term at tj can reach: those within radius of
+    it, one sample of margin each side, or the whole grid."""
+    n = float(n_samples)
+    # clamp in float: int() of a huge or infinite quotient would overflow
+    lo = int(max(0.0, min(n, (tj - radius - t0) / dt - 1.0)))
+    hi = int(max(0.0, min(n, (tj + radius - t0) / dt + 2.0)))
+    # t0 + i*dt - tj is monotone in i, so if the samples just outside
+    # the window lie at or beyond the radius, all the skipped ones do;
+    # when rounding of huge times breaks that, take the whole grid
+    if ((lo > 0 and t0 + (lo - 1) * dt - tj > -radius)
+            or (hi < n_samples and t0 + hi * dt - tj < radius)):
+        return 0, n_samples
+    return lo, hi
 
 
 class _KFormats(dict):
@@ -265,36 +289,107 @@ def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> 
         stream.write("".join(rows))
 
 
+_TRAIN_HEADERS = {"time,amplitude": 2, "time,amplitude,k": 3}  # header -> fields a row
+_READ_CHUNK = 1024  # lines per column parse; larger chunks raise the read's peak memory
+# "0".."255" -> int; these are CPython's cached small ints, so the table is small
+_K_TOKENS = {str(i): i for i in range(256)}
+
+
+def _parse_rows(lines: List[str], line_no: int, width: int):
+    """Parse train rows one at a time: the columns, or ParseError at the first
+    bad line, numbered from line_no."""
+    times: List[float] = []
+    amps: List[float] = []
+    ks: List[Tuple[int, ...]] = []
+    for line_no, line in enumerate(lines, start=line_no):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != width:
+                raise ValueError
+            k: Tuple[int, ...] = tuple(map(int, fields[2].split("|"))) if width == 3 else ()
+            time, amp = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise ParseError(f"malformed train row {line!r}", line_no) from None
+        if not (math.isfinite(time) and math.isfinite(amp)):
+            raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
+        times.append(time)
+        amps.append(amp)
+        ks.append(k)
+    return times, amps, ks
+
+
+def _parse_columns(lines: List[str], width: int):
+    """The columns _parse_rows gives, parsed a column at a time.
+
+    Raises ValueError on anything irregular (a blank line, a row of another
+    width, transit vectors of several lengths, a bad or non-finite value),
+    and the caller re-parses by rows.
+    """
+    text = "".join(lines)
+    rows = [line.split(",") for line in text.split("\n")]
+    if text.endswith("\n"):
+        rows.pop()
+    # a count that differs means a line ended in something other than "\n"
+    if len(rows) != len(lines) or set(map(len, rows)) != {width}:
+        raise ValueError
+    cols = tuple(zip(*rows))
+    times = tuple(map(float, cols[0]))
+    amps = tuple(map(float, cols[1]))
+    if not (all(map(math.isfinite, times)) and all(map(math.isfinite, amps))):
+        raise ValueError
+    if width == 2:
+        return times, amps, ((),) * len(rows)
+    col = cols[2]
+    bars = set(map(str.count, col, repeat("|")))
+    if len(bars) != 1:  # transit vectors of several lengths
+        raise ValueError
+    tokens = "|".join(col).split("|")
+    try:
+        ints = list(map(_K_TOKENS.__getitem__, tokens))
+    except KeyError:
+        ints = list(map(int, tokens))
+    it = iter(ints)
+    return times, amps, list(zip(*[it] * (bars.pop() + 1)))
+
+
 def read_train_csv(stream: TextIO, kind: str = REFLECTION,
                    cutoff: float = math.inf) -> PulseTrain:
     """Parse a train CSV from write_train_csv (k optional).
 
-    A malformed row, or one whose time or amplitude is not finite, raises
-    ParseError with its line number; a byte the stream cannot decode
+    The first line, stripped, must be ``time,amplitude`` or
+    ``time,amplitude,k``, and every non-blank row must have as many fields
+    as that header; blank lines are skipped and whitespace around a field
+    is ignored.  A bad header raises ParseError at line 1; a row of another
+    width, a malformed field, or a time or amplitude that is not finite
+    raises ParseError with its line number; a byte the stream cannot decode
     raises ParseError naming the stream.
+
+    The rows are read 1024 lines at a time and each block is parsed a column
+    at a time; a block that does not parse that way is parsed again row by
+    row, which gives the same columns or the error of its first bad line.
     """
     times: List[float] = []
     amps: List[float] = []
     ks: List[Tuple[int, ...]] = []
     try:
-        with_k = "k" in stream.readline().strip().split(",")
-        for line_no, line in enumerate(stream, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
+        header = stream.readline().strip()
+        width = _TRAIN_HEADERS.get(header)
+        if width is None:
+            raise ParseError("train CSV header must be 'time,amplitude' or "
+                             f"'time,amplitude,k', got {header!r}", 1)
+        line_no = 2
+        for lines in iter(lambda: list(islice(stream, _READ_CHUNK)), []):
             try:
-                k: Tuple[int, ...] = ()
-                if len(fields) >= 3 and with_k:
-                    k = tuple(map(int, fields[2].split("|")))
-                time, amp = float(fields[0]), float(fields[1])
-            except (ValueError, IndexError):
-                raise ParseError(f"malformed train row {line!r}", line_no) from None
-            if not (math.isfinite(time) and math.isfinite(amp)):
-                raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
-            times.append(time)
-            amps.append(amp)
-            ks.append(k)
+                block = _parse_columns(lines, width)
+            except ValueError:
+                block = _parse_rows(lines, line_no, width)
+            times += block[0]
+            amps += block[1]
+            ks += block[2]
+            line_no += len(lines)
     except UnicodeDecodeError as exc:
         where = getattr(stream, "name", "train CSV")
         raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None

@@ -229,7 +229,7 @@ def test_render_negative_sample_count_is_usage_error(small_medium, tmp_path):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("row", ["1.0,abc", "1.0", "0.5,nan", "inf,0.5"])
+@pytest.mark.parametrize("row", ["1.0,abc", "1.0", "0.5,nan", "inf,0.5", "1.0,0.5,1|2,junk"])
 def test_render_malformed_train_row_is_parse_error(tmp_path, row):
     train = tmp_path / "train.csv"
     train.write_text(f"time,amplitude\n1,0.5\n{row}\n")
@@ -285,6 +285,27 @@ def test_render_bench10_ricker_signal_is_pinned(tmp_path, kind, cutoff, render_a
     res = run("render", "--train", str(train), "--wavelet", "ricker:25", *render_args)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
+
+
+def test_render_bench10_with_k_train_is_pinned(tmp_path):
+    # the benchmark's render input: the k column parses, and is not rendered
+    train = tmp_path / "train.csv"
+    res = run("reflect", "--medium", str(BENCH10), "--cutoff", "5.38014", "--with-k",
+              "--out", str(train))
+    assert res.returncode == 0
+    res = run("render", "--train", str(train), "--wavelet", "ricker:25",
+              "--dt", "0.004", "--n", "300")
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == \
+        "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"
+
+
+@pytest.mark.parametrize("text", ["1.0,0.5\n2.0,0.25\n", ""], ids=["no-header", "empty"])
+def test_render_train_without_header_is_parse_error(tmp_path, text):
+    train = tmp_path / "train.csv"
+    train.write_text(text)
+    res = run("render", "--train", str(train), "--dt", "0.5", "--n", "3")
+    assert_one_error_line(res, "line 1:")
 
 
 def assert_one_error_line(res, path=None):

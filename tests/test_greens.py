@@ -27,6 +27,7 @@ from layered_echo import (
 )
 from layered_echo import greens, transit
 from layered_echo.amplitudes import amplitude
+from layered_echo.errors import ParseError
 from layered_echo.greens import SampledSignal, read_train_csv, write_signal_csv
 from layered_echo.oracle import enumerate_sequences, stats, tally
 from layered_echo.transit import (
@@ -359,6 +360,28 @@ def test_windowed_convolve_exact_when_rounding_exceeds_the_radius():
     assert got.count(0.5) > 1000
 
 
+@pytest.mark.parametrize("t0, dt, n, cut", [
+    (0.0, 0.004, 300, True),
+    (-3.7, 0.01, 50, True),
+    # at 1e20 the far edge rounds back onto the grid: nothing may be skipped
+    (1e20, 1.0, 20000, False),
+], ids=["bench-grid", "negative-t0", "huge-t0"])
+@pytest.mark.parametrize("has_radius", [True, False], ids=["ricker", "no-radius"])
+def test_convolve_far_edge_cut_is_exact(t0, dt, n, cut, has_radius):
+    w = ricker(25.0)
+    t_far = t0 + (n + 2) * dt + w.radius
+    assert (greens._window(t_far, t0, dt, n, w.radius) == (n, n)) == cut
+    times = [t0 + (n // 2) * dt, math.nextafter(t_far, -math.inf), t_far,
+             math.nextafter(t_far, math.inf), t_far + 1.0, t0 - 1.0]
+    terms = [PulseTerm(t, 0.5 - 0.125 * j, (1,)) for j, t in enumerate(times)]
+    train = PulseTrain.from_terms(REFLECTION, 2.0 * t_far, terms)
+    wavelet = w if has_radius else (lambda t: w(t))
+    got = convolve(train, wavelet, t0, dt, n).samples
+    want = _convolve_every_sample(train, wavelet, t0, dt, n)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert any(got)
+
+
 @pytest.mark.parametrize("freq", [1e-2, 0.3, 1.0, 25.0, 199.7, 1e3, 1e4])
 def test_ricker_is_exactly_zero_from_its_radius(freq):
     w = ricker(freq)
@@ -393,6 +416,139 @@ def test_train_csv_header_without_k():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "time,amplitude"
     assert lines[1] == "1,0.5"
+
+
+def _read_train_rows(stream, kind=REFLECTION, cutoff=math.inf):
+    """The train CSV reader as it was before the column parse: one row at a
+    time, k read when the header names it and the row has a third field."""
+    times, amps, ks = [], [], []
+    with_k = "k" in stream.readline().strip().split(",")
+    for line_no, line in enumerate(stream, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            k = ()
+            if len(fields) >= 3 and with_k:
+                k = tuple(map(int, fields[2].split("|")))
+            time, amp = float(fields[0]), float(fields[1])
+        except (ValueError, IndexError):
+            raise ParseError(f"malformed train row {line!r}", line_no) from None
+        if not (math.isfinite(time) and math.isfinite(amp)):
+            raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
+        times.append(time)
+        amps.append(amp)
+        ks.append(k)
+    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), tuple(ks))
+
+
+_ROW_COUNTS = st.integers(0, 40) | st.sampled_from([1023, 1024, 1025, 2047, 2048, 2049, 2500])
+
+
+@st.composite
+def _train_csvs(draw):
+    """A valid train CSV: rows are made by a seeded generator, so that files
+    of a few thousand rows stay cheap to draw, with the features drawn."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(_ROW_COUNTS)
+    with_k = draw(st.booleans())
+    k_len = draw(st.sampled_from([1, 3, 11, None]))  # None: lengths vary by row
+    big_k = draw(st.sampled_from([0.0, 0.01, 0.5]))  # share of k tokens >= 256
+    odd_k = draw(st.sampled_from([0.0, 0.01]))  # share of "+3", "1_0", "007"
+    pad = draw(st.sampled_from([0.0, 0.05]))  # share of whitespace-padded rows
+    blank = draw(st.sampled_from([0.0, 0.02]))  # blank lines between rows
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    final_newline = draw(st.booleans())
+
+    def k_token():
+        if rng.random() < odd_k:
+            return rng.choice(["+3", "1_0", "007", " 4", "-0"])
+        return str(rng.randrange(256, 100000) if rng.random() < big_k else rng.randrange(256))
+
+    lines = ["time,amplitude,k" if with_k else "time,amplitude"]
+    for _ in range(n):
+        fields = [repr(rng.uniform(0.0, 10.0)), f"{rng.uniform(-1.0, 1.0):.17g}"]
+        if rng.random() < odd_k:
+            fields[0] = rng.choice(["1_0.5", "+2", " 3.25", "4e-1 "])
+        if with_k:
+            fields.append("|".join(k_token() for _ in range(k_len or rng.randrange(1, 5))))
+        line = ",".join(fields)
+        if rng.random() < pad:
+            line = rng.choice([" ", "\t", "  "]) + line + rng.choice([" ", "\t", ""])
+        lines.append(line)
+        if rng.random() < blank:
+            lines.append(rng.choice(["", "   ", "\t"]))
+    text = end.join(lines)
+    return text + end if final_newline or n == 0 else text
+
+
+@settings(max_examples=60, deadline=None)
+@given(_train_csvs())
+def test_read_train_csv_matches_row_loop(text):
+    got = read_train_csv(io.StringIO(text), REFLECTION, 7.0)
+    want = _read_train_rows(io.StringIO(text), REFLECTION, 7.0)
+    assert got == want
+    assert [t.hex() for t in got.times] == [t.hex() for t in want.times]
+    assert [a.hex() for a in got.amps] == [a.hex() for a in want.amps]
+
+
+@pytest.mark.parametrize("bad", ["1.0,abc,1|2", "1.0,0.5,1|x", "1.0,0.5,1||2",
+                                 "nan,0.5,1|2", "1.0,inf,1|2"])
+def test_read_train_csv_error_in_third_block_has_row_loop_line(bad):
+    rows = [f"{0.001 * i!r},0.5,{i % 256}|{i % 7}" for i in range(3000)]
+    rows[2100] = bad
+    rows[5] = ""  # a blank line still counts
+    text = "time,amplitude,k\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError) as want:
+        _read_train_rows(io.StringIO(text))
+    with pytest.raises(ParseError) as got:
+        read_train_csv(io.StringIO(text))
+    assert got.value.line_no == want.value.line_no == 2102
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("newline", [None, "", "\r"], ids=["universal", "untranslated", "cr"])
+@pytest.mark.parametrize("data", [b"time,amplitude\r1,0.5\r2,0.25\r",
+                                  b"time,amplitude\r\n1,0.5\r\n\r\n2,0.25",
+                                  b"time,amplitude\r1,0.5\n2,0.25\r"], ids=["cr", "crlf", "mixed"])
+def test_read_train_csv_splits_lines_as_the_stream_does(newline, data):
+    # the column parse splits a block on "\n"; the stream's own lines decide
+    def stream():
+        return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=newline)
+
+    try:
+        want = _read_train_rows(stream())
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_train_csv(stream())
+        assert got.value.line_no == exc.line_no
+    else:
+        assert read_train_csv(stream()) == want
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("1.0,0.5\n2.0,0.25\n", 1),  # no header: the first arrival was lost
+    ("", 1),
+    ("\n1.0,0.5\n", 1),
+    ("time,k\n1.0,0.5\n", 1),
+    ("time,amplitude,extra\n1.0,0.5,1\n", 1),
+    ("time,amplitude\n1.0,0.5,1|2,junk\n", 2),
+    ("time,amplitude\n1.0,0.5,1|2\n", 2),
+    ("time,amplitude\n1.0,0.5\n2.0,0.25,\n", 3),
+    ("time,amplitude,k\n1.0,0.5\n", 2),
+    ("time,amplitude,k\n1.0,0.5,1|2,3\n", 2),
+], ids=["no-header", "empty", "blank-header", "bad-header", "extra-header-field",
+        "extra-fields", "k-without-k-header", "trailing-comma", "k-missing", "k-extra"])
+def test_read_train_csv_rejects_bad_header_and_row_width(text, line_no):
+    with pytest.raises(ParseError) as err:
+        read_train_csv(io.StringIO(text))
+    assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("header", ["time,amplitude", " time,amplitude\t", "time,amplitude\r"])
+def test_read_train_csv_accepts_header_only(header):
+    assert len(read_train_csv(io.StringIO(header + "\n"))) == 0
 
 
 def test_signal_csv():
