@@ -113,6 +113,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not (args.cutoff > 0):
+        raise DomainError("--cutoff must be positive")
     if not (args.tol >= 0.0):
         raise DomainError(f"--tol must be a non-negative number, got {args.tol}")
     medium = read_medium(args.medium)

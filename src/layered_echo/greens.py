@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, List, TextIO, Tuple
 
 from . import transit
@@ -94,8 +95,11 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
         raise DomainError(f"cutoff must be finite, got {cutoff}")
     if math.isnan(amplitude_floor):
         raise DomainError("amplitude floor must not be nan")
-    # (time, k, amp) rows in (time, k) order; k is unique, so amp never decides
-    rows = sorted(transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections)))
+    # (time, k, amp) rows in (time, k) order: the search yields k in increasing
+    # lexicographic order and the sort is stable, so sorting on time alone
+    # gives exactly sorted(rows), comparing floats instead of tuples
+    rows = list(transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections)))
+    rows.sort(key=itemgetter(0))
     if amplitude_floor > 0.0:
         rows = [row for row in rows if abs(row[2]) >= amplitude_floor]
     # the columns share the float and tuple objects the search made
@@ -274,19 +278,20 @@ _CSV_CHUNK = 4096  # rows per write
 def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> None:
     """Emit `time,amplitude[,k]` rows, times/amplitudes at 17 significant digits.
 
-    The format is medium._fmt's, inlined; rows go out joined in chunks.
+    The format is medium._fmt's (``%.17g`` converts a float as ``:.17g``
+    does), one ``%`` per row; rows go out joined in chunks.
     """
     times, amps, ks = train.times, train.amps, train.ks
     stream.write("time,amplitude,k\n" if with_k else "time,amplitude\n")
+    format_row = ("%.17g,%.17g,%s\n" if with_k else "%.17g,%.17g\n").__mod__
     kf = _KFormats()
     for i in range(0, len(times), _CSV_CHUNK):
         j = i + _CSV_CHUNK
         if with_k:
-            rows = [f"{t:.17g},{a:.17g},{kf[len(k)] % k}\n"
-                    for t, a, k in zip(times[i:j], amps[i:j], ks[i:j])]
+            rows = zip(times[i:j], amps[i:j], [kf[len(k)] % k for k in ks[i:j]])
         else:
-            rows = [f"{t:.17g},{a:.17g}\n" for t, a in zip(times[i:j], amps[i:j])]
-        stream.write("".join(rows))
+            rows = zip(times[i:j], amps[i:j])
+        stream.write("".join(map(format_row, rows)))
 
 
 _TRAIN_HEADERS = {"time,amplitude": 2, "time,amplitude,k": 3}  # header -> fields a row

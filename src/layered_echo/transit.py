@@ -10,13 +10,16 @@ transmission case).
 Both kinds are enumerated by one depth-first search over the entries of
 k carrying the remaining time budget, so the cost is proportional to the
 number of vectors emitted.  The two kinds differ only in k_0, in the least
-allowed k_n and in which nodes of the search emit.  The order of the
-vectors, siblings included, is unspecified; sorting by arrival time is the
-consumer's job.  Arrival times are accumulated strictly left to right
-(k_0*tau_0 first) so that term counts at a given cutoff are deterministic
-and reproducible.  The same search carries the amplitude: each time it
-fixes k_{n+1} it multiplies the per-layer factor s_n(k_n, k_{n+1}) into a
-running product, and counts the vectors against MAX_TERMS as it makes them.
+allowed k_n and in which nodes of the search emit.  Children pop in
+ascending order of their entry and a reflection prefix (padded with zeros)
+is emitted before its children, so the vectors come in strictly increasing
+lexicographic order of k; sorting by arrival time is the consumer's job.
+The last entry k_M is not pushed: its parent emits those vectors directly.
+Arrival times are accumulated strictly left to right (k_0*tau_0 first) so
+that term counts at a given cutoff are deterministic and reproducible.  The
+same search carries the amplitude: each time it fixes k_{n+1} it multiplies
+the per-layer factor s_n(k_n, k_{n+1}) into a running product, and counts
+the vectors against MAX_TERMS as it makes them.
 """
 
 from __future__ import annotations
@@ -154,10 +157,16 @@ def terms(medium: Medium, kind: str, cutoff: float,
     multiplies s_n into a running product as soon as it fixes k_{n+1}, so
     the amplitude is the product of s_0 .. s_M in that order.  A reflection
     vector is emitted at the end of its support, where the remaining factors
-    s(0, 0) are exactly 1.0 and are not multiplied in.  The order of the
-    vectors is unspecified.  Raises EnumerationLimitExceeded if and only if
-    more than MAX_TERMS vectors arrive: the search counts them as it makes
-    them, and stops at once when one node surely has too many children.
+    s(0, 0) are exactly 1.0 and are not multiplied in.  The vectors come in
+    strictly increasing lexicographic order of k, for both kinds: the
+    depth-first search visits children in ascending order of their entry,
+    and a reflection prefix comes before its children.  A node that fixes
+    the last entry k_M emits its children itself, multiplying s_{M-1} and
+    then s_M into the running product, so no full vector takes a stack
+    entry.  Raises EnumerationLimitExceeded if and only if more than
+    MAX_TERMS vectors arrive: the search counts each node's children after
+    making them, so a few past the limit may be yielded before it raises,
+    and stops at once when one node surely has too many.
     """
     taus = medium.layer_taus
     m1 = len(taus)
@@ -170,20 +179,18 @@ def terms(medium: Medium, kind: str, cutoff: float,
     if t0 > cutoff:
         return
     # vectors still allowed: every reflection node counts (the root now, the
-    # rest when pushed); for transmission only the pushes with n + 1 == m1
+    # rest when made); for transmission only the children with n + 1 == m1
+    last = m1 - 1  # the index of k_M
     left = MAX_TERMS - emit_all
-    count_from = 1 if emit_all else m1 - 1
+    count_from = 1 if emit_all else last
     # (index n of the next entry to fix, k_0 .. k_{n-1}, time so far,
     # s_0 * .. * s_{n-2}); an explicit stack, so a yield costs O(1) at any depth
     stack = [(1, root, t0, 1.0)]
     pop = stack.pop
-    push = stack.append
+    extend = stack.extend
     while stack:
         n, prefix, t, amp = pop()
         kp = prefix[-1]
-        if n == m1:
-            yield t, prefix, amp * factors[n - 1, kp, 0]
-            continue
         if emit_all:
             yield t, prefix + (0,) * (m1 - n), amp * factors[n - 1, kp, 0]
         tau = taus[n]
@@ -193,10 +200,21 @@ def terms(medium: Medium, kind: str, cutoff: float,
             break
         kn = first
         tn = t + kn * tau
-        while tn <= cutoff:
-            push((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
-            kn += 1
-            tn = t + kn * tau
+        if n == last:
+            # the children are full vectors: emit them here, not via the stack
+            while tn <= cutoff:
+                yield tn, prefix + (kn,), amp * factors[n - 1, kp, kn] * factors[n, kn, 0]
+                kn += 1
+                tn = t + kn * tau
+        else:
+            children = []
+            while tn <= cutoff:
+                children.append((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
+                kn += 1
+                tn = t + kn * tau
+            # pushed largest k_n first, so they pop in ascending order
+            children.reverse()
+            extend(children)
         if n >= count_from:
             left -= kn - first
             if left < 0:
@@ -207,12 +225,14 @@ def terms(medium: Medium, kind: str, cutoff: float,
 
 
 def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
-    """Yield every reflection transit vector with <k, tau> <= cutoff, once each."""
+    """Yield every reflection transit vector with <k, tau> <= cutoff, once each,
+    in increasing lexicographic order of k."""
     return (TransitVector(k, REFLECTION)
             for _, k, _ in terms(medium, REFLECTION, cutoff, _UNIT_FACTORS))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
-    """Yield every transmission transit vector arriving by the cutoff, once each."""
+    """Yield every transmission transit vector arriving by the cutoff, once
+    each, in increasing lexicographic order of k."""
     return (TransitVector(k, TRANSMISSION)
             for _, k, _ in terms(medium, TRANSMISSION, cutoff, _UNIT_FACTORS))

@@ -53,6 +53,15 @@ def test_reflect_nonpositive_cutoff_is_usage_error(small_medium):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_oracle_nonpositive_cutoff_is_usage_error(small_medium, cutoff):
+    # a cutoff before every arrival would check no vector and pass
+    res = run("oracle", "--medium", small_medium, "--cutoff", cutoff)
+    assert_one_error_line(res)
+    assert "--cutoff must be positive" in res.stderr
+    assert res.stdout == ""
+
+
 def test_missing_medium_file_names_path():
     res = run("reflect", "--medium", "/nonexistent/med.taur", "--cutoff", "1")
     assert res.returncode == 2
@@ -322,6 +331,9 @@ def assert_one_error_line(res, path=None):
      "93458b4809ddaee4a0a1fd1d589b9285b51064daf912c1105c2aa4e2b908dec3"),
     ("transmit", "3.69007", 35059,
      "2fc5e41c1976afa0997f12d87da43fea26754d8559b67f685bf037ffd36ce966"),
+    # 453 pairs of these rows share an exact float time
+    ("transmit", "4.2", 172083,
+     "21c8ebc77e16182a240c7a3bfe56f1f7763efe85bbb73765b93b088cff1226c6"),
 ])
 def test_bench10_train_csv_is_pinned(kind, cutoff, rows, digest):
     res = run(kind, "--medium", str(BENCH10), "--cutoff", cutoff, "--with-k")

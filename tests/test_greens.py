@@ -146,6 +146,33 @@ def test_train_from_terms_matches_the_built_train(build):
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+def _f_string_csv(train, with_k):
+    """The writer as it was with one f-string per row, kept as the reference."""
+    rows = ["time,amplitude,k\n" if with_k else "time,amplitude\n"]
+    for t, a, k in zip(train.times, train.amps, train.ks):
+        if with_k:
+            rows.append(f"{t:.17g},{a:.17g},{'|'.join(map(str, k))}\n")
+        else:
+            rows.append(f"{t:.17g},{a:.17g}\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8191, 8192, 8193])
+def test_writer_matches_the_f_string_writer(n):
+    rng = random.Random(n)
+    odd = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+           -1.7976931348623157e308, 1.0, 0.1, 1 / 3]
+    values = odd + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-40, 40)
+                    for _ in range(n)]
+    ks = [(), (7,), (1, 0), (0, 255, 256), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
+    terms = [PulseTerm(values[i], values[-1 - i],
+                       ks[i % len(ks)] + tuple(rng.randrange(300) for _ in range(i % 4)))
+             for i in range(n)]
+    train = PulseTrain.from_terms(REFLECTION, 1.0, terms)
+    for with_k in (False, True):
+        assert _csv(train, with_k) == _f_string_csv(train, with_k)
+
+
 def test_empty_train_writes_only_the_header():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     for train in (PulseTrain.from_terms(REFLECTION, 2.0, ()), reflection_green(m, 0.5)):

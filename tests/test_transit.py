@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from layered_echo import (
     DomainError,
@@ -17,6 +18,8 @@ from layered_echo import (
     multi_binomial,
     multi_binomial_exact,
 )
+from layered_echo import greens, transit
+from layered_echo.amplitudes import LayerFactors
 from layered_echo.transit import (
     arrival_time,
     reflection_arrival,
@@ -189,3 +192,27 @@ def test_arrival_helpers_match_enumerator_budget():
         assert reflection_arrival(tv.k, m) <= cutoff
     for tv in enumerate_transmission(m, cutoff):
         assert transmission_arrival(tv.k, m) <= cutoff
+
+
+# a tau either any float or on a 0.1 s grid, where many arrivals tie exactly
+_TAU = st.one_of(st.floats(0.1, 1.5), st.integers(1, 15).map(lambda i: i / 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([REFLECTION, TRANSMISSION]),
+       taus=st.lists(_TAU, min_size=2, max_size=5),
+       tail=_TAU, refl=st.floats(-0.9, 0.9), span=st.floats(0.0, 1.6))
+@example(kind=REFLECTION, taus=[0.3, 0.1, 0.2, 0.1], tail=0.1, refl=0.5, span=1.6)
+@example(kind=TRANSMISSION, taus=[0.3, 0.1, 0.2, 0.1], tail=0.1, refl=0.5, span=1.6)
+def test_terms_come_in_lexicographic_order_and_sort_on_time_alone(kind, taus, tail, refl, span):
+    # the first arrival plus a span, so every medium makes a small train
+    m = make_medium(taus, tail, [refl * (-1) ** n for n in range(len(taus))])
+    first = taus[0] if kind == REFLECTION else transit.half_total_time(m)
+    cutoff = first + span
+    rows = list(transit.terms(m, kind, cutoff, LayerFactors(kind, m.reflections)))
+    ks = [k for _, k, _ in rows]
+    assert all(a < b for a, b in zip(ks, ks[1:]))
+    # the build sorts on time alone; that must be exactly the (time, k) sort
+    train = greens._build_train(m, cutoff, kind, 0.0)
+    want = [(t.hex(), k, a.hex()) for t, k, a in sorted(rows)]
+    assert list(zip(map(float.hex, train.times), train.ks, map(float.hex, train.amps))) == want
