@@ -4,8 +4,8 @@ The reflection and transmission impulse responses of a stack of
 homogeneous acoustic layers are finite trains of delta arrivals up to any
 cutoff time.  This package computes them exactly from closed-form
 combinatorial amplitude formulas, and ships two independent brute-force
-oracles (explicit scattering-sequence enumeration and an equal-travel-time
-lattice recursion) for verification.
+oracles (explicit scattering-sequence enumeration and a lattice recursion
+on the medium's travel-time quantum) for verification.
 """
 
 from .errors import (
@@ -19,7 +19,6 @@ from .errors import (
     NonPositiveTau,
     ParseError,
     ReflectionOutOfRange,
-    UnequalTaus,
 )
 from .medium import (
     Medium,
@@ -98,6 +97,5 @@ __all__ = [
     "DomainError",
     "InvalidTransitVector",
     "InvalidSequence",
-    "UnequalTaus",
     "EnumerationLimitExceeded",
 ]

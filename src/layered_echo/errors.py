@@ -43,9 +43,5 @@ class InvalidSequence(LayeredEchoError, ValueError):
     """Scattering sequence violates path constraints."""
 
 
-class UnequalTaus(LayeredEchoError, ValueError):
-    """Lattice simulation requires all layer travel times equal."""
-
-
 class EnumerationLimitExceeded(LayeredEchoError, RuntimeError):
     """A search or simulation would pass its work limit."""

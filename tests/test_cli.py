@@ -415,6 +415,23 @@ def test_nan_merge_tolerance_or_floor_is_usage_error(small_medium, args):
     assert res.stdout == ""
 
 
+def test_lattice_runs_unequal_taus_on_their_quantum(tmp_path):
+    path = tmp_path / "decimal.taur"
+    path.write_text("taur v1 M=2\n0.3 0.4\n0.5 -0.3\n0.7 0.5\ntail 0.25\n")
+    res = run("lattice", "--medium", str(path), "--steps", "60")
+    assert res.returncode == 0, res.stderr
+    dev = float(res.stdout.splitlines()[0].rpartition(" ")[2])
+    assert dev <= 1e-12
+
+
+def test_lattice_refuses_a_too_fine_quantum_at_once():
+    # bench10's tau have 6 or 7 decimals: P = 1e-7 s splits it into 43 801 415 layers
+    res = run("lattice", "--medium", str(BENCH10), "--steps", "12", timeout=10)
+    assert_one_error_line(res)
+    assert "quantum P = 1e-07 s" in res.stderr and "M' = 43801414" in res.stderr
+    assert res.stdout == ""
+
+
 # 10**20 does not fit an index (OverflowError); 2**62 floats are more bytes
 # than the address space (MemoryError).  Both fail at once, allocating nothing.
 @pytest.mark.parametrize("n", [str(10**20), str(2**62)], ids=["overflow", "memory"])
