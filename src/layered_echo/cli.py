@@ -21,6 +21,7 @@ process-wide choice belongs to the application.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import stat
@@ -195,7 +196,8 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_render(args) -> int:
     with open(args.train, "r", encoding="ascii") as fh:
-        train = greens.read_train_csv(fh)
+        # convolve reads only times and amplitudes: check k, skip its tuples
+        train = greens.read_train_csv(fh, with_k=False)
     wavelet = _parse_wavelet(args.wavelet)
     signal = greens.convolve(train, wavelet, args.t0, args.dt, args.n)
     with _open_out(args.out) as fh:
@@ -265,8 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was and
+    # fills a new Namespace each call, and a build costs about a millisecond
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

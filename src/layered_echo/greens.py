@@ -26,7 +26,7 @@ from . import transit
 # the amplitude functions stay importable from here, where callers look them up
 from .amplitudes import LayerFactors, reflection_amplitude, transmission_amplitude
 from .errors import DomainError, ParseError
-from .medium import Medium, _fmt
+from .medium import Medium
 from .transit import REFLECTION, TRANSMISSION
 
 
@@ -300,9 +300,10 @@ _READ_CHUNK = 1024  # lines per column parse; larger chunks raise the read's pea
 _K_TOKENS = {str(i): i for i in range(256)}
 
 
-def _parse_rows(lines: List[str], line_no: int, width: int):
+def _parse_rows(lines: List[str], line_no: int, width: int, with_k: bool):
     """Parse train rows one at a time: the columns, or ParseError at the first
-    bad line, numbered from line_no."""
+    bad line, numbered from line_no.  Without with_k each k is checked and
+    given as ()."""
     times: List[float] = []
     amps: List[float] = []
     ks: List[Tuple[int, ...]] = []
@@ -322,32 +323,56 @@ def _parse_rows(lines: List[str], line_no: int, width: int):
             raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
         times.append(time)
         amps.append(amp)
-        ks.append(k)
+        ks.append(k if with_k else ())
     return times, amps, ks
 
 
-def _parse_columns(lines: List[str], width: int):
-    """The columns _parse_rows gives, parsed a column at a time.
+# every byte but ",", "\n" and "\r": deleting them leaves a block's separators
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
+# a k field at most this long holds no token that int() refuses for its
+# length: 640 is the lowest digit limit sys.set_int_max_str_digits allows
+_K_FIELD_MAX = 640
 
+
+def _parse_columns(lines: List[str], width: int, with_k: bool):
+    r"""The columns _parse_rows gives, parsed a column at a time.
+
+    The block is joined and split once on "," with each "\n" turned into
+    ","; a column is then every width-th field.  Without with_k the k
+    column is only checked, every token plain ASCII digits, and each k is ().
     Raises ValueError on anything irregular (a blank line, a row of another
-    width, transit vectors of several lengths, a bad or non-finite value),
-    and the caller re-parses by rows.
+    width, a line ended other than by "\n", a "\r", a non-ASCII character,
+    transit vectors of several lengths, a bad or non-finite value, or
+    without with_k any other k token), and the caller re-parses by rows.
     """
+    n = len(lines)
     text = "".join(lines)
-    rows = [line.split(",") for line in text.split("\n")]
-    if text.endswith("\n"):
-        rows.pop()
-    # a count that differs means a line ended in something other than "\n"
-    if len(rows) != len(lines) or set(map(len, rows)) != {width}:
+    ends = text.endswith("\n")
+    # The separators left must be width - 1 commas and one "\n" per line
+    # (none after the stream's last): with no "\r" the stream split its lines
+    # at "\n" alone, so line i's fields are fields[i*width:(i+1)*width].  A
+    # non-ASCII character fails the encode (UnicodeEncodeError is a ValueError)
+    separators = (b"," * (width - 1) + b"\n") * n
+    if (text.encode("ascii").translate(None, _NOT_SEPARATORS)
+            != (separators if ends else separators[:-1])):
         raise ValueError
-    cols = tuple(zip(*rows))
-    times = tuple(map(float, cols[0]))
-    amps = tuple(map(float, cols[1]))
+    fields = text.replace("\n", ",").split(",")
+    if ends:
+        fields.pop()
+    times = tuple(map(float, fields[0::width]))
+    amps = tuple(map(float, fields[1::width]))
     if not (all(map(math.isfinite, times)) and all(map(math.isfinite, amps))):
         raise ValueError
     if width == 2:
-        return times, amps, ((),) * len(rows)
-    col = cols[2]
+        return times, amps, ((),) * n
+    col = fields[2::3]
+    if not with_k:
+        # framed in bars, an empty token shows as "||"
+        framed = f"|{'|'.join(col)}|".encode("ascii")
+        if (framed.translate(None, b"0123456789|") or b"||" in framed
+                or max(map(len, col)) > _K_FIELD_MAX):
+            raise ValueError
+        return times, amps, ((),) * n
     bars = set(map(str.count, col, repeat("|")))
     if len(bars) != 1:  # transit vectors of several lengths
         raise ValueError
@@ -361,7 +386,7 @@ def _parse_columns(lines: List[str], width: int):
 
 
 def read_train_csv(stream: TextIO, kind: str = REFLECTION,
-                   cutoff: float = math.inf) -> PulseTrain:
+                   cutoff: float = math.inf, *, with_k: bool = True) -> PulseTrain:
     """Parse a train CSV from write_train_csv (k optional).
 
     The first line, stripped, must be ``time,amplitude`` or
@@ -371,6 +396,11 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     width, a malformed field, or a time or amplitude that is not finite
     raises ParseError with its line number; a byte the stream cannot decode
     raises ParseError naming the stream.
+
+    With ``with_k=False`` a k column is checked as closely as with it (the
+    same errors at the same lines) but not built: every term's k is (), as
+    in a CSV without k, which saves the transit-vector tuples of a reader
+    that uses only times and amplitudes.
 
     The rows are read 1024 lines at a time and each block is parsed a column
     at a time; a block that does not parse that way is parsed again row by
@@ -388,9 +418,9 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
         line_no = 2
         for lines in iter(lambda: list(islice(stream, _READ_CHUNK)), []):
             try:
-                block = _parse_columns(lines, width)
+                block = _parse_columns(lines, width, with_k)
             except ValueError:
-                block = _parse_rows(lines, line_no, width)
+                block = _parse_rows(lines, line_no, width, with_k)
             times += block[0]
             amps += block[1]
             ks += block[2]
@@ -402,7 +432,10 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
 
 
 def write_signal_csv(signal: SampledSignal, stream: TextIO) -> None:
-    """Emit `time,value` rows for a sampled signal."""
+    """Emit `time,value` rows for a sampled signal, as write_train_csv does:
+    ``%.17g``, one ``%`` per row, rows joined in chunks."""
     stream.write("time,value\n")
-    for t, v in zip(signal.time_axis(), signal.samples):
-        stream.write(f"{_fmt(t)},{_fmt(v)}\n")
+    times, samples = signal.time_axis(), signal.samples
+    for i in range(0, len(samples), _CSV_CHUNK):
+        j = i + _CSV_CHUNK
+        stream.write("".join(map("%.17g,%.17g\n".__mod__, zip(times[i:j], samples[i:j]))))

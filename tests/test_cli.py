@@ -249,6 +249,30 @@ def test_render_malformed_train_row_is_parse_error(tmp_path, row):
     assert "Traceback" not in res.stderr
 
 
+# render does not build k, and still checks it
+@pytest.mark.parametrize("k", ["1|x", "1||2", ""], ids=["letter", "empty-token", "empty"])
+def test_render_malformed_k_is_parse_error(tmp_path, k):
+    train = tmp_path / "train.csv"
+    train.write_text(f"time,amplitude,k\n1,0.5,1\n1.0,0.5,{k}\n")
+    res = run("render", "--train", str(train), "--wavelet", "spike",
+              "--dt", "0.5", "--n", "3")
+    assert res.returncode == 2
+    assert "line 3" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_render_reads_any_k_the_row_loop_reads(tmp_path):
+    with_k = tmp_path / "with_k.csv"
+    with_k.write_text("time,amplitude,k\n1,0.5,1\n2,0.25,-1|+2\n")
+    plain = tmp_path / "plain.csv"
+    plain.write_text("time,amplitude\n1,0.5\n2,0.25\n")
+    out = [run("render", "--train", str(path), "--wavelet", "spike", "--dt", "0.5", "--n", "5")
+           for path in (with_k, plain)]
+    assert [res.returncode for res in out] == [0, 0]
+    assert out[0].stdout == out[1].stdout == \
+        "time,value\n0,0\n0.5,0\n1,0.5\n1.5,0\n2,0.25\n"
+
+
 @pytest.mark.parametrize("args", [("--wavelet", "ricker:inf"), ("--t0", "nan"),
                                   ("--dt", "inf")], ids=["ricker-inf", "t0-nan", "dt-inf"])
 def test_render_non_finite_argument_is_usage_error(tmp_path, args):
@@ -296,17 +320,26 @@ def test_render_bench10_ricker_signal_is_pinned(tmp_path, kind, cutoff, render_a
     assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
 
 
-def test_render_bench10_with_k_train_is_pinned(tmp_path):
-    # the benchmark's render input: the k column parses, and is not rendered
+def _render_with_k_digest(tmp_path, kind, cutoff, *render_args):
     train = tmp_path / "train.csv"
-    res = run("reflect", "--medium", str(BENCH10), "--cutoff", "5.38014", "--with-k",
+    res = run(kind, "--medium", str(BENCH10), "--cutoff", cutoff, "--with-k",
               "--out", str(train))
     assert res.returncode == 0
-    res = run("render", "--train", str(train), "--wavelet", "ricker:25",
-              "--dt", "0.004", "--n", "300")
+    res = run("render", "--train", str(train), "--wavelet", "ricker:25", *render_args)
     assert res.returncode == 0
-    assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == \
-        "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"
+    return hashlib.sha256(res.stdout.encode("ascii")).hexdigest()
+
+
+def test_render_bench10_with_k_train_is_pinned(tmp_path):
+    # the benchmark's render input: the k column is checked, and is not rendered
+    assert _render_with_k_digest(tmp_path, "reflect", "5.38014", "--dt", "0.004", "--n", "300") \
+        == "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"
+
+
+def test_render_bench10_transmission_with_k_train_is_pinned(tmp_path):
+    assert _render_with_k_digest(tmp_path, "transmit", "3.69007",
+                                 "--t0", "0", "--dt", "0.004", "--n", "2000") \
+        == "e9a8e10586e6d49531cdb92fc5592623e762f46ea87f186cfce06fcc5dbd5417"
 
 
 @pytest.mark.parametrize("text", ["1.0,0.5\n2.0,0.25\n", ""], ids=["no-header", "empty"])
@@ -509,6 +542,8 @@ def test_main_leaves_collector_state_as_found(small_medium, capsys, restore_gc,
 def test_command_runs_with_collector_paused(small_medium, capsys, monkeypatch, restore_gc):
     seen = []
     monkeypatch.setattr(cli, "_run_train", lambda args: seen.append(gc.isenabled()) or 0)
+    # a parser built now names the patched command; main's own is built once
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
     gc.enable()
     assert cli.main(["reflect", "--medium", small_medium, "--cutoff", "2"]) == 0
     assert seen == [False]
@@ -558,3 +593,31 @@ def test_command_bodies_leave_no_reference_cycles(tmp_path, capsys, restore_gc, 
     freed = gc.collect()
     assert failed == (argv[2] in ("MISSING", "BAD"))
     assert freed < 100
+
+
+def test_main_builds_its_parser_once_and_a_namespace_per_call(tmp_path, capsys, monkeypatch,
+                                                              request):
+    built, seen = [], []
+    build = cli.build_parser
+
+    def build_parser():
+        parser = build()
+        parse = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(parse(argv)) or seen[-1])
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)  # drop the spying parser
+    train = str(tmp_path / "train.csv")
+    assert cli.main(["reflect", "--medium", str(BENCH10), "--cutoff", "5.38014", "--with-k",
+                     "--out", train]) == 0
+    assert cli.main(["render", "--train", train, "--wavelet", "ricker:25",
+                     "--dt", "0.004", "--n", "300"]) == 0
+    assert len(built) == 1
+    assert seen[0].with_k and seen[0].kind == transit.REFLECTION
+    assert sorted(vars(seen[1])) == ["command", "dt", "func", "n", "out", "t0", "train",
+                                     "wavelet"]
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == \
+        "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"

@@ -171,6 +171,12 @@ def test_writer_matches_the_f_string_writer(n):
     train = PulseTrain.from_terms(REFLECTION, 1.0, terms)
     for with_k in (False, True):
         assert _csv(train, with_k) == _f_string_csv(train, with_k)
+    # the signal writer, as it was with one f-string per row
+    signal = SampledSignal(-3.7, 0.01, tuple(values[:n]))
+    buf = io.StringIO()
+    write_signal_csv(signal, buf)
+    assert buf.getvalue() == "time,value\n" + "".join(
+        f"{t:.17g},{v:.17g}\n" for t, v in zip(signal.time_axis(), signal.samples))
 
 
 def test_empty_train_writes_only_the_header():
@@ -499,7 +505,8 @@ def _train_csvs(draw):
 
     def k_token():
         if rng.random() < odd_k:
-            return rng.choice(["+3", "1_0", "007", " 4", "-0"])
+            # "\u0661" is an Arabic-Indic one, which int() reads
+            return rng.choice(["+3", "1_0", "007", " 4", "-0", "\u0661", "0" * 700])
         return str(rng.randrange(256, 100000) if rng.random() < big_k else rng.randrange(256))
 
     lines = ["time,amplitude,k" if with_k else "time,amplitude"]
@@ -522,15 +529,21 @@ def _train_csvs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_train_csvs())
 def test_read_train_csv_matches_row_loop(text):
-    got = read_train_csv(io.StringIO(text), REFLECTION, 7.0)
     want = _read_train_rows(io.StringIO(text), REFLECTION, 7.0)
+    got = read_train_csv(io.StringIO(text), REFLECTION, 7.0)
+    lean = read_train_csv(io.StringIO(text), REFLECTION, 7.0, with_k=False)
     assert got == want
-    assert [t.hex() for t in got.times] == [t.hex() for t in want.times]
-    assert [a.hex() for a in got.amps] == [a.hex() for a in want.amps]
+    assert lean == PulseTrain(REFLECTION, 7.0, want.times, want.amps, ((),) * len(want))
+    for train in (got, lean):
+        assert [t.hex() for t in train.times] == [t.hex() for t in want.times]
+        assert [a.hex() for a in train.amps] == [a.hex() for a in want.amps]
 
 
 @pytest.mark.parametrize("bad", ["1.0,abc,1|2", "1.0,0.5,1|x", "1.0,0.5,1||2",
-                                 "nan,0.5,1|2", "1.0,inf,1|2"])
+                                 "nan,0.5,1|2", "1.0,inf,1|2", "1.0,0.5,", "1.0,0.5,|1",
+                                 "1.0,0.5,1|", "1.0,0.5,1|\u00b2",
+                                 # past int()'s default limit of 4300 digits
+                                 pytest.param("1.0,0.5,1|" + "1" * 5000, id="5000-digits")])
 def test_read_train_csv_error_in_third_block_has_row_loop_line(bad):
     rows = [f"{0.001 * i!r},0.5,{i % 256}|{i % 7}" for i in range(3000)]
     rows[2100] = bad
@@ -538,10 +551,11 @@ def test_read_train_csv_error_in_third_block_has_row_loop_line(bad):
     text = "time,amplitude,k\n" + "\n".join(rows) + "\n"
     with pytest.raises(ParseError) as want:
         _read_train_rows(io.StringIO(text))
-    with pytest.raises(ParseError) as got:
-        read_train_csv(io.StringIO(text))
-    assert got.value.line_no == want.value.line_no == 2102
-    assert str(got.value) == str(want.value)
+    for with_k in (True, False):
+        with pytest.raises(ParseError) as got:
+            read_train_csv(io.StringIO(text), with_k=with_k)
+        assert got.value.line_no == want.value.line_no == 2102
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("newline", [None, "", "\r"], ids=["universal", "untranslated", "cr"])
