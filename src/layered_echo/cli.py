@@ -129,8 +129,9 @@ def _cmd_oracle(args) -> int:
         build = (greens.reflection_green if kind == REFLECTION
                  else greens.transmission_green)
         train = build(medium, args.cutoff)
-        # pad the walk budget so boundary arrivals cannot drop a class
-        pad = args.cutoff * (1.0 + 1e-9) + 1e-12
+        # pad the walk budget so boundary arrivals cannot drop a class; the
+        # pad is relative, so it scales with the medium's travel times
+        pad = args.cutoff * (1.0 + 1e-9)
         sums, counts = oracle.tally(medium, kind, pad)
         for i, (closed, k) in enumerate(zip(train.amps, train.ks)):
             if args.corrupt and i == 0:
@@ -175,14 +176,10 @@ def _cmd_lattice(args) -> int:
                  else greens.transmission_green)
         cutoff = times[-1] * (1.0 + 1e-12)
         train = build(medium, cutoff)
-        # binning into slots groups tied arrivals, so no merge pass is needed
-        by_slot = {}
-        t_first = times[0]
-        for tj, aj in zip(train.times, train.amps):
-            j = round((tj - t_first) / result.period)
-            by_slot[j] = by_slot.get(j, 0.0) + aj
-        for j, (t, s) in enumerate(zip(times, samples)):
-            dev = abs(s - by_slot.get(j, 0.0))
+        # spike binning into slots groups tied arrivals, so no merge pass is needed
+        binned = greens.convolve(train, "spike", times[0], result.period, len(times)).samples
+        for j, (s, b) in enumerate(zip(samples, binned)):
+            dev = abs(s - b)
             if args.corrupt and j == 0:
                 dev += 1e-3  # test hook
             worst = max(worst, dev)
@@ -196,8 +193,7 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_render(args) -> int:
     with open(args.train, "r", encoding="ascii") as fh:
-        # convolve reads only times and amplitudes: check k, skip its tuples
-        train = greens.read_train_csv(fh, with_k=False)
+        train = greens.read_train_csv(fh)
     wavelet = _parse_wavelet(args.wavelet)
     signal = greens.convolve(train, wavelet, args.t0, args.dt, args.n)
     with _open_out(args.out) as fh:

@@ -9,7 +9,9 @@ A train is a frozen dataclass of three parallel tuples, ``times``,
 ``amps`` and ``ks``; the builders, ``merge_ties``, ``read_train_csv``,
 ``write_train_csv`` and ``convolve`` work on those columns.  The
 ``PulseTerm`` objects of ``PulseTrain.terms`` are made only when that
-property is read, anew each time.
+property is read, anew each time.  The transit vectors are provenance:
+``write_train_csv`` can write them, and ``read_train_csv`` checks a k
+column but keeps none of it, so every term it reads has k = ().
 
 A train build evaluates each distinct per-layer factor once.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, List, TextIO, Tuple
 
@@ -296,17 +298,14 @@ def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> 
 
 _TRAIN_HEADERS = {"time,amplitude": 2, "time,amplitude,k": 3}  # header -> fields a row
 _READ_CHUNK = 1024  # lines per column parse; larger chunks raise the read's peak memory
-# "0".."255" -> int; these are CPython's cached small ints, so the table is small
-_K_TOKENS = {str(i): i for i in range(256)}
 
 
-def _parse_rows(lines: List[str], line_no: int, width: int, with_k: bool):
-    """Parse train rows one at a time: the columns, or ParseError at the first
-    bad line, numbered from line_no.  Without with_k each k is checked and
-    given as ()."""
+def _parse_rows(lines: List[str], line_no: int, width: int):
+    """Parse train rows one at a time: the times and amplitudes, or
+    ParseError at the first bad line, numbered from line_no.  Each k token
+    is read with int() only to check it."""
     times: List[float] = []
     amps: List[float] = []
-    ks: List[Tuple[int, ...]] = []
     for line_no, line in enumerate(lines, start=line_no):
         line = line.strip()
         if not line:
@@ -315,7 +314,8 @@ def _parse_rows(lines: List[str], line_no: int, width: int, with_k: bool):
         try:
             if len(fields) != width:
                 raise ValueError
-            k: Tuple[int, ...] = tuple(map(int, fields[2].split("|"))) if width == 3 else ()
+            if width == 3:
+                list(map(int, fields[2].split("|")))  # checked, not kept
             time, amp = float(fields[0]), float(fields[1])
         except ValueError:
             raise ParseError(f"malformed train row {line!r}", line_no) from None
@@ -323,8 +323,7 @@ def _parse_rows(lines: List[str], line_no: int, width: int, with_k: bool):
             raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
         times.append(time)
         amps.append(amp)
-        ks.append(k if with_k else ())
-    return times, amps, ks
+    return times, amps
 
 
 # every byte but ",", "\n" and "\r": deleting them leaves a block's separators
@@ -334,16 +333,15 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
 _K_FIELD_MAX = 640
 
 
-def _parse_columns(lines: List[str], width: int, with_k: bool):
-    r"""The columns _parse_rows gives, parsed a column at a time.
+def _parse_columns(lines: List[str], width: int):
+    r"""The times and amplitudes _parse_rows gives, parsed a column at a time.
 
     The block is joined and split once on "," with each "\n" turned into
-    ","; a column is then every width-th field.  Without with_k the k
-    column is only checked, every token plain ASCII digits, and each k is ().
-    Raises ValueError on anything irregular (a blank line, a row of another
-    width, a line ended other than by "\n", a "\r", a non-ASCII character,
-    transit vectors of several lengths, a bad or non-finite value, or
-    without with_k any other k token), and the caller re-parses by rows.
+    ","; a column is then every width-th field.  The k column is only
+    checked: every token must be plain ASCII digits.  Raises ValueError on
+    anything irregular (a blank line, a row of another width, a line ended
+    other than by "\n", a "\r", a non-ASCII character, a bad or non-finite
+    value, or any other k token), and the caller re-parses by rows.
     """
     n = len(lines)
     text = "".join(lines)
@@ -363,30 +361,18 @@ def _parse_columns(lines: List[str], width: int, with_k: bool):
     amps = tuple(map(float, fields[1::width]))
     if not (all(map(math.isfinite, times)) and all(map(math.isfinite, amps))):
         raise ValueError
-    if width == 2:
-        return times, amps, ((),) * n
-    col = fields[2::3]
-    if not with_k:
+    if width == 3:
+        col = fields[2::3]
         # framed in bars, an empty token shows as "||"
         framed = f"|{'|'.join(col)}|".encode("ascii")
         if (framed.translate(None, b"0123456789|") or b"||" in framed
                 or max(map(len, col)) > _K_FIELD_MAX):
             raise ValueError
-        return times, amps, ((),) * n
-    bars = set(map(str.count, col, repeat("|")))
-    if len(bars) != 1:  # transit vectors of several lengths
-        raise ValueError
-    tokens = "|".join(col).split("|")
-    try:
-        ints = list(map(_K_TOKENS.__getitem__, tokens))
-    except KeyError:
-        ints = list(map(int, tokens))
-    it = iter(ints)
-    return times, amps, list(zip(*[it] * (bars.pop() + 1)))
+    return times, amps
 
 
 def read_train_csv(stream: TextIO, kind: str = REFLECTION,
-                   cutoff: float = math.inf, *, with_k: bool = True) -> PulseTrain:
+                   cutoff: float = math.inf) -> PulseTrain:
     """Parse a train CSV from write_train_csv (k optional).
 
     The first line, stripped, must be ``time,amplitude`` or
@@ -397,10 +383,8 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     raises ParseError with its line number; a byte the stream cannot decode
     raises ParseError naming the stream.
 
-    With ``with_k=False`` a k column is checked as closely as with it (the
-    same errors at the same lines) but not built: every term's k is (), as
-    in a CSV without k, which saves the transit-vector tuples of a reader
-    that uses only times and amplitudes.
+    A k column is checked, each token an int, but not kept: every term's k
+    is (), as in a CSV without k.
 
     The rows are read 1024 lines at a time and each block is parsed a column
     at a time; a block that does not parse that way is parsed again row by
@@ -408,7 +392,6 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     """
     times: List[float] = []
     amps: List[float] = []
-    ks: List[Tuple[int, ...]] = []
     try:
         header = stream.readline().strip()
         width = _TRAIN_HEADERS.get(header)
@@ -418,17 +401,16 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
         line_no = 2
         for lines in iter(lambda: list(islice(stream, _READ_CHUNK)), []):
             try:
-                block = _parse_columns(lines, width, with_k)
+                block = _parse_columns(lines, width)
             except ValueError:
-                block = _parse_rows(lines, line_no, width, with_k)
+                block = _parse_rows(lines, line_no, width)
             times += block[0]
             amps += block[1]
-            ks += block[2]
             line_no += len(lines)
     except UnicodeDecodeError as exc:
         where = getattr(stream, "name", "train CSV")
         raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None
-    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), tuple(ks))
+    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), ((),) * len(times))
 
 
 def write_signal_csv(signal: SampledSignal, stream: TextIO) -> None:

@@ -150,6 +150,20 @@ def test_oracle_fails_when_the_train_lacks_a_vector(tmp_path, capsys, monkeypatc
     assert len([line for line in err.splitlines() if "missing" in line]) == 2
 
 
+def test_oracle_walk_pad_scales_with_the_travel_times(tmp_path):
+    # the walk budget's pad must be relative: an absolute 1e-12 s would be 12
+    # cutoffs of the tiny medium, whose walks run past the term limit
+    outs = []
+    for tau, cutoff in (("1", "8"), ("1e-14", "8e-14")):
+        medium = tmp_path / f"m-{tau}.taur"
+        medium.write_text(f"taur v1 M=2\n{tau} 0.5\n{tau} -0.3\n{tau} 0.4\n")
+        res = run("oracle", "--medium", str(medium), "--cutoff", cutoff, timeout=30)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert "missing transit vectors: 0\n" in outs[0]
+
+
 def test_lattice_pass_and_corrupt(small_medium):
     res = run("lattice", "--medium", small_medium, "--steps", "10")
     assert res.returncode == 0

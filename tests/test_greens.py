@@ -217,7 +217,8 @@ def test_no_pulse_term_is_made_until_terms_is_read(monkeypatch):
     buf.seek(0)
     read = read_train_csv(buf, REFLECTION, 6.0)
     convolve(read, "spike", 0.0, 0.1, 60)
-    assert read == merged
+    assert (read.times, read.amps) == (merged.times, merged.amps)
+    assert read.ks == ((),) * len(merged)
     monkeypatch.undo()
     assert read.terms[0] == PulseTerm(read.times[0], read.amps[0], read.ks[0])
 
@@ -447,8 +448,10 @@ def test_train_csv_round_trip():
     write_train_csv(train, buf, with_k=True)
     buf.seek(0)
     again = read_train_csv(buf, REFLECTION, 4.0)
-    assert [(t.time, t.amplitude, t.k) for t in again.terms] == \
-           [(t.time, t.amplitude, t.k) for t in train.terms]
+    # the k column is checked and dropped
+    assert [(t.time, t.amplitude) for t in again.terms] == \
+           [(t.time, t.amplitude) for t in train.terms]
+    assert again.ks == ((),) * len(train)
 
 
 def test_train_csv_header_without_k():
@@ -530,13 +533,10 @@ def _train_csvs(draw):
 @given(_train_csvs())
 def test_read_train_csv_matches_row_loop(text):
     want = _read_train_rows(io.StringIO(text), REFLECTION, 7.0)
-    got = read_train_csv(io.StringIO(text), REFLECTION, 7.0)
-    lean = read_train_csv(io.StringIO(text), REFLECTION, 7.0, with_k=False)
-    assert got == want
+    lean = read_train_csv(io.StringIO(text), REFLECTION, 7.0)
     assert lean == PulseTrain(REFLECTION, 7.0, want.times, want.amps, ((),) * len(want))
-    for train in (got, lean):
-        assert [t.hex() for t in train.times] == [t.hex() for t in want.times]
-        assert [a.hex() for a in train.amps] == [a.hex() for a in want.amps]
+    assert [t.hex() for t in lean.times] == [t.hex() for t in want.times]
+    assert [a.hex() for a in lean.amps] == [a.hex() for a in want.amps]
 
 
 @pytest.mark.parametrize("bad", ["1.0,abc,1|2", "1.0,0.5,1|x", "1.0,0.5,1||2",
@@ -551,11 +551,10 @@ def test_read_train_csv_error_in_third_block_has_row_loop_line(bad):
     text = "time,amplitude,k\n" + "\n".join(rows) + "\n"
     with pytest.raises(ParseError) as want:
         _read_train_rows(io.StringIO(text))
-    for with_k in (True, False):
-        with pytest.raises(ParseError) as got:
-            read_train_csv(io.StringIO(text), with_k=with_k)
-        assert got.value.line_no == want.value.line_no == 2102
-        assert str(got.value) == str(want.value)
+    with pytest.raises(ParseError) as got:
+        read_train_csv(io.StringIO(text))
+    assert got.value.line_no == want.value.line_no == 2102
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("newline", [None, "", "\r"], ids=["universal", "untranslated", "cr"])
