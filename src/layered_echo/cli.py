@@ -10,11 +10,11 @@ alone turns a ``LayeredEchoError``, ``OSError`` or ``MemoryError`` into
 one ``error:`` line and exit 2.
 
 A command runs with the cyclic garbage collector paused, and ``main``
-leaves it as it found it.  A build allocates a few container objects per
-transit vector (stack entry, k tuple, row) and none of them form a
-reference cycle, so the collector's repeated scans of them find nothing
-and cost a large share of a build; reference counting still frees every
-object at once.  The library modules never touch the collector: that
+leaves it as it found it.  A build allocates a few objects per transit
+vector (stack entry, k text, row) and none of them form a reference
+cycle, so the collector's repeated scans of them find nothing and cost a
+large share of a build; reference counting still frees every object at
+once.  The library modules never touch the collector: that
 process-wide choice belongs to the application.
 """
 
@@ -133,7 +133,8 @@ def _cmd_oracle(args) -> int:
         # pad is relative, so it scales with the medium's travel times
         pad = args.cutoff * (1.0 + 1e-9)
         sums, counts = oracle.tally(medium, kind, pad)
-        for i, (closed, k) in enumerate(zip(train.amps, train.ks)):
+        ks = train.ks  # parsed from the k text on each read: read once
+        for i, (closed, k) in enumerate(zip(train.amps, ks)):
             if args.corrupt and i == 0:
                 closed += 1e-3  # test hook: force a detectable deviation
             brute = sums.get(k, 0.0)
@@ -143,7 +144,7 @@ def _cmd_oracle(args) -> int:
         # search's own floats, so the pad cannot make a false alarm
         arrival = (transit.reflection_arrival if kind == REFLECTION
                    else transit.transmission_arrival)
-        in_train = set(train.ks)
+        in_train = set(ks)
         for k in sums:
             if k not in in_train and arrival(k, medium) <= args.cutoff:
                 missing += 1

@@ -6,12 +6,14 @@ tie break.  Coincident arrivals are NOT merged by default -- the train is
 indexed per transit vector -- merging is an explicit post-pass.
 
 A train is a frozen dataclass of three parallel tuples, ``times``,
-``amps`` and ``ks``; the builders, ``merge_ties``, ``read_train_csv``,
-``write_train_csv`` and ``convolve`` work on those columns.  The
-``PulseTerm`` objects of ``PulseTrain.terms`` are made only when that
-property is read, anew each time.  The transit vectors are provenance:
-``write_train_csv`` can write them, and ``read_train_csv`` checks a k
-column but keeps none of it, so every term it reads has k = ().
+``amps`` and ``k_text``; the builders, ``merge_ties``, ``read_train_csv``,
+``write_train_csv`` and ``convolve`` work on those columns.  A transit
+vector is kept as its CSV text, "1|3|0" (``transit.format_k``), which the
+search builds once per vector and ``write_train_csv`` writes as it is.
+The ``ks`` tuples and the ``PulseTerm`` objects of ``PulseTrain.terms``
+are made only when those properties are read, anew each time.  The
+transit vectors are provenance: ``read_train_csv`` checks a k column but
+keeps none of it, so every term it reads has the text "" and k = ().
 
 A train build evaluates each distinct per-layer factor once.
 """
@@ -29,7 +31,7 @@ from . import transit
 from .amplitudes import LayerFactors, reflection_amplitude, transmission_amplitude
 from .errors import DomainError, ParseError
 from .medium import Medium
-from .transit import REFLECTION, TRANSMISSION
+from .transit import REFLECTION, TRANSMISSION, format_k, parse_k
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,8 @@ class PulseTerm:
 @dataclass(frozen=True, repr=False)
 class PulseTrain:
     """A delta train: ``kind``, ``cutoff`` and the parallel columns
-    ``times``, ``amps`` and ``ks`` (term i is times[i], amps[i], ks[i]).
+    ``times``, ``amps`` and ``k_text`` (term i is times[i], amps[i] and
+    the transit vector whose text is k_text[i], "" for a term without k).
 
     ``PulseTrain.from_terms(kind, cutoff, terms)`` builds the columns from
     ``PulseTerm``s, and ``terms`` makes them back from the columns.  Trains
@@ -55,14 +58,20 @@ class PulseTrain:
     cutoff: float
     times: Tuple[float, ...]
     amps: Tuple[float, ...]
-    ks: Tuple[Tuple[int, ...], ...]
+    k_text: Tuple[str, ...]
 
     @classmethod
     def from_terms(cls, kind: str, cutoff: float,
                    terms: Iterable[PulseTerm]) -> "PulseTrain":
         terms = tuple(terms)
         return cls(kind, cutoff, tuple([t.time for t in terms]),
-                   tuple([t.amplitude for t in terms]), tuple([t.k for t in terms]))
+                   tuple([t.amplitude for t in terms]),
+                   tuple([format_k(t.k) for t in terms]))
+
+    @property
+    def ks(self) -> Tuple[Tuple[int, ...], ...]:
+        """The transit vectors as int tuples, parsed anew on each access."""
+        return tuple(map(parse_k, self.k_text))
 
     @property
     def terms(self) -> Tuple[PulseTerm, ...]:
@@ -97,16 +106,16 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
         raise DomainError(f"cutoff must be finite, got {cutoff}")
     if math.isnan(amplitude_floor):
         raise DomainError("amplitude floor must not be nan")
-    # (time, k, amp) rows in (time, k) order: the search yields k in increasing
-    # lexicographic order and the sort is stable, so sorting on time alone
-    # gives exactly sorted(rows), comparing floats instead of tuples
+    # (time, k text, amp) rows in (time, k) order: the search yields k in
+    # increasing lexicographic order and the sort is stable, so sorting on
+    # time alone gives the (time, k) order without comparing any k
     rows = list(transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections)))
     rows.sort(key=itemgetter(0))
     if amplitude_floor > 0.0:
         rows = [row for row in rows if abs(row[2]) >= amplitude_floor]
-    # the columns share the float and tuple objects the search made
-    times, ks, amps = zip(*rows) if rows else ((), (), ())
-    return PulseTrain(kind, cutoff, times, amps, ks)
+    # the columns share the float and str objects the search made
+    times, texts, amps = zip(*rows) if rows else ((), (), ())
+    return PulseTrain(kind, cutoff, times, amps, texts)
 
 
 def reflection_green(medium: Medium, cutoff: float, *,
@@ -138,7 +147,7 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
     """
     if not (tol_rel >= 0):
         raise DomainError(f"tol_rel must be >= 0, got {tol_rel}")
-    times, amps, ks = train.times, train.amps, train.ks
+    times, amps, texts = train.times, train.amps, train.k_text
     if not times:
         return train
     floor = times[0]
@@ -152,19 +161,20 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
             t_g = t
     starts.append(len(times))
     m_amps: List[float] = []
-    m_ks: List[Tuple[int, ...]] = []
+    m_texts: List[str] = []
     for lo, hi in zip(starts, starts[1:]):
         if hi - lo == 1:
             m_amps.append(amps[lo])
-            m_ks.append(ks[lo])
+            m_texts.append(texts[lo])
         else:
             total = 0.0  # added in train order; sum() compensates from 3.12 on
             for a in amps[lo:hi]:
                 total += a
             m_amps.append(total)
-            m_ks.append(min(ks[lo:hi]))
+            # smallest as int tuples: as strings, "1|10|0" < "1|2|1"
+            m_texts.append(min(texts[lo:hi], key=parse_k))
     m_times = tuple([times[lo] for lo in starts[:-1]])
-    return PulseTrain(train.kind, train.cutoff, m_times, tuple(m_amps), tuple(m_ks))
+    return PulseTrain(train.kind, train.cutoff, m_times, tuple(m_amps), tuple(m_texts))
 
 
 def ricker(peak_freq: float) -> Callable[[float], float]:
@@ -266,14 +276,6 @@ def _window(tj: float, t0: float, dt: float, n_samples: int,
     return lo, hi
 
 
-class _KFormats(dict):
-    """n -> the %-format that joins n ints with "|", as '|'.join(map(str, k))."""
-
-    def __missing__(self, n: int) -> str:
-        fmt = self[n] = "|".join(["%d"] * n)
-        return fmt
-
-
 _CSV_CHUNK = 4096  # rows per write
 
 
@@ -281,19 +283,15 @@ def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> 
     """Emit `time,amplitude[,k]` rows, times/amplitudes at 17 significant digits.
 
     The format is medium._fmt's (``%.17g`` converts a float as ``:.17g``
-    does), one ``%`` per row; rows go out joined in chunks.
+    does), one ``%`` per row; rows go out joined in chunks.  The k field
+    is the train's ``k_text`` as it is.
     """
-    times, amps, ks = train.times, train.amps, train.ks
+    columns = (train.times, train.amps, train.k_text) if with_k else (train.times, train.amps)
     stream.write("time,amplitude,k\n" if with_k else "time,amplitude\n")
     format_row = ("%.17g,%.17g,%s\n" if with_k else "%.17g,%.17g\n").__mod__
-    kf = _KFormats()
-    for i in range(0, len(times), _CSV_CHUNK):
+    for i in range(0, len(train.times), _CSV_CHUNK):
         j = i + _CSV_CHUNK
-        if with_k:
-            rows = zip(times[i:j], amps[i:j], [kf[len(k)] % k for k in ks[i:j]])
-        else:
-            rows = zip(times[i:j], amps[i:j])
-        stream.write("".join(map(format_row, rows)))
+        stream.write("".join(map(format_row, zip(*[c[i:j] for c in columns]))))
 
 
 _TRAIN_HEADERS = {"time,amplitude": 2, "time,amplitude,k": 3}  # header -> fields a row
@@ -384,7 +382,7 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     raises ParseError naming the stream.
 
     A k column is checked, each token an int, but not kept: every term's k
-    is (), as in a CSV without k.
+    text is "" and its k is (), as in a CSV without k.
 
     The rows are read 1024 lines at a time and each block is parsed a column
     at a time; a block that does not parse that way is parsed again row by
@@ -410,7 +408,7 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     except UnicodeDecodeError as exc:
         where = getattr(stream, "name", "train CSV")
         raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None
-    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), ((),) * len(times))
+    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), ("",) * len(times))
 
 
 def write_signal_csv(signal: SampledSignal, stream: TextIO) -> None:

@@ -19,7 +19,10 @@ Arrival times are accumulated strictly left to right (k_0*tau_0 first) so
 that term counts at a given cutoff are deterministic and reproducible.  The
 same search carries the amplitude: each time it fixes k_{n+1} it multiplies
 the per-layer factor s_n(k_n, k_{n+1}) into a running product, and counts
-the vectors against MAX_TERMS as it makes them.
+the vectors against MAX_TERMS as it makes them.  A vector is carried as its
+text, the CSV k field ("1|3|0"): each node's text is its parent's plus one
+"|k_n", so the search builds no k tuple; ``parse_k`` parses a text back
+where a caller wants the entries.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, EnumerationLimitExceeded, InvalidTransitVector
 from .medium import Medium
@@ -146,10 +149,33 @@ _UNIT_FACTORS = _UnitFactors()
 MAX_TERMS = 10_000_000
 
 
-def terms(medium: Medium, kind: str, cutoff: float,
-          factors: Mapping) -> Iterator[Tuple[float, Tuple[int, ...], float]]:
-    """Yield (arrival, k, amplitude) for every transit vector k arriving by the cutoff.
+class _Memo(dict):
+    """key -> make(key), each made on first lookup and kept."""
 
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def format_k(k: Sequence[int]) -> str:
+    """The text of a transit vector, as the CSV k field writes it: "1|3|0"."""
+    return "|".join(map(str, k))
+
+
+def parse_k(text: str) -> Tuple[int, ...]:
+    """The transit vector a k text holds; "" (no k) gives ()."""
+    return tuple(map(int, text.split("|"))) if text else ()
+
+
+def terms(medium: Medium, kind: str, cutoff: float,
+          factors: Mapping) -> Iterator[Tuple[float, str, float]]:
+    """Yield (arrival, k text, amplitude) for every transit vector k arriving by the cutoff.
+
+    The k text is ``format_k(k)``, e.g. "1|3|0"; ``parse_k`` parses it back.
     The arrival is ``reflection_arrival(k)`` or ``transmission_arrival(k)``;
     the comparison with the cutoff is inclusive, and nothing is yielded if
     the first arrival is already late.  ``factors[n, k_n, k_{n+1}]`` is the
@@ -163,19 +189,21 @@ def terms(medium: Medium, kind: str, cutoff: float,
     and a reflection prefix comes before its children.  A node that fixes
     the last entry k_M emits its children itself, multiplying s_{M-1} and
     then s_M into the running product, so no full vector takes a stack
-    entry.  Raises EnumerationLimitExceeded if and only if more than
-    MAX_TERMS vectors arrive: the search counts each node's children after
-    making them, so a few past the limit may be yielded before it raises,
-    and stops at once when one node surely has too many.
+    entry.  Each node's prefix text is its parent's plus "|k_n", so a
+    vector's text costs one concatenation.  Raises EnumerationLimitExceeded
+    if and only if more than MAX_TERMS vectors arrive: the search counts
+    each node's children after making them, so a few past the limit may be
+    yielded before it raises, and stops at once when one node surely has
+    too many.
     """
     taus = medium.layer_taus
     m1 = len(taus)
     if kind == REFLECTION:
         # k_0 = 1; every prefix is a vector, padded with zeros; k_n >= 1 inside it
-        root, t0, first, emit_all = (1,), 1 * taus[0], 1, True
+        k0, t0, first, emit_all = 1, 1 * taus[0], 1, True
     else:
         # k_0 = 0; only full-length vectors arrive; k_n >= 0
-        root, t0, first, emit_all = (0,), half_total_time(medium), 0, False
+        k0, t0, first, emit_all = 0, half_total_time(medium), 0, False
     if t0 > cutoff:
         return
     # vectors still allowed: every reflection node counts (the root now, the
@@ -183,16 +211,20 @@ def terms(medium: Medium, kind: str, cutoff: float,
     last = m1 - 1  # the index of k_M
     left = MAX_TERMS - emit_all
     count_from = 1 if emit_all else last
-    # (index n of the next entry to fix, k_0 .. k_{n-1}, time so far,
-    # s_0 * .. * s_{n-2}); an explicit stack, so a yield costs O(1) at any depth
-    stack = [(1, root, t0, 1.0)]
+    # bars[k_n] is the text "|k_n" that fixing k_n adds to a prefix, and
+    # pads[m1 - n] the zeros that pad a reflection prefix of n entries
+    bars = _Memo("|%d".__mod__)
+    pads = _Memo("|0".__mul__)
+    # (index n of the next entry to fix, k_{n-1}, text of k_0 .. k_{n-1},
+    # time so far, s_0 * .. * s_{n-2}); an explicit stack, so a yield costs
+    # O(1) at any depth
+    stack = [(1, k0, str(k0), t0, 1.0)]
     pop = stack.pop
     extend = stack.extend
     while stack:
-        n, prefix, t, amp = pop()
-        kp = prefix[-1]
+        n, kp, prefix, t, amp = pop()
         if emit_all:
-            yield t, prefix + (0,) * (m1 - n), amp * factors[n - 1, kp, 0]
+            yield t, prefix + pads[m1 - n], amp * factors[n - 1, kp, 0]
         tau = taus[n]
         # there are at least (cutoff - t)/tau - 1 children and each holds a
         # vector not counted yet; the + 2 absorbs rounding
@@ -203,13 +235,13 @@ def terms(medium: Medium, kind: str, cutoff: float,
         if n == last:
             # the children are full vectors: emit them here, not via the stack
             while tn <= cutoff:
-                yield tn, prefix + (kn,), amp * factors[n - 1, kp, kn] * factors[n, kn, 0]
+                yield tn, prefix + bars[kn], amp * factors[n - 1, kp, kn] * factors[n, kn, 0]
                 kn += 1
                 tn = t + kn * tau
         else:
             children = []
             while tn <= cutoff:
-                children.append((n + 1, prefix + (kn,), tn, amp * factors[n - 1, kp, kn]))
+                children.append((n + 1, kn, prefix + bars[kn], tn, amp * factors[n - 1, kp, kn]))
                 kn += 1
                 tn = t + kn * tau
             # pushed largest k_n first, so they pop in ascending order
@@ -227,12 +259,12 @@ def terms(medium: Medium, kind: str, cutoff: float,
 def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every reflection transit vector with <k, tau> <= cutoff, once each,
     in increasing lexicographic order of k."""
-    return (TransitVector(k, REFLECTION)
+    return (TransitVector(parse_k(k), REFLECTION)
             for _, k, _ in terms(medium, REFLECTION, cutoff, _UNIT_FACTORS))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every transmission transit vector arriving by the cutoff, once
     each, in increasing lexicographic order of k."""
-    return (TransitVector(k, TRANSMISSION)
+    return (TransitVector(parse_k(k), TRANSMISSION)
             for _, k, _ in terms(medium, TRANSMISSION, cutoff, _UNIT_FACTORS))

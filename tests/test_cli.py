@@ -395,16 +395,34 @@ def test_bench10_train_csv_is_pinned(kind, cutoff, rows, digest):
      "ed4c235db41f47c4485103d02b07c303e087fa2857a81487a7f9d06042cec545"),
     (("transmit", "--cutoff", "3.69007"), 35059,
      "76718fa001e1b0045f09246422fb83d9e96feda6526308ea60f6f6a2931418e8"),
+    (("reflect", "--cutoff", "5.38014", "--merge-tol", "1e-12", "--with-k"), 19235,
+     "ade82ffc864696b820af3356e633f2c7027cac29ff3a7af31e88e011d7e3fb07"),
     (("transmit", "--cutoff", "3.69007", "--merge-tol", "1e-12", "--with-k"), 35049,
      "0cd197fbe208f4bc7f8e2bc7609ac0bcb4a96429a69f2914c1e6d0d0282e8c04"),
     (("reflect", "--cutoff", "5.38014", "--floor", "1e-6", "--with-k"), 12869,
      "729a3f083c3b9f18bc8009fd97d869d6f08b6750f20d5730b905c3fca2322009"),
-], ids=["reflect", "transmit", "transmit-merged-with-k", "reflect-floored-with-k"])
+], ids=["reflect", "transmit", "reflect-merged-with-k", "transmit-merged-with-k",
+        "reflect-floored-with-k"])
 def test_bench10_train_csv_variants_are_pinned(args, rows, digest):
     res = run(*args, "--medium", str(BENCH10))
     assert res.returncode == 0
     assert res.stdout.count("\n") - 1 == rows
     assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
+
+
+def test_merge_keeps_the_smallest_k_as_ints_not_as_text(tmp_path):
+    # 1|2|1 and 1|10|0 both arrive at exactly 2.0; as strings "1|10|0" is
+    # the smaller, as transit vectors (1, 2, 1) is
+    medium = tmp_path / "trap.taur"
+    medium.write_text("taur v1 M=2\n1 0.5\n0.1 -0.3\n0.8 0.4\ntail 0\n")
+    args = ("reflect", "--medium", str(medium), "--cutoff", "2.0", "--with-k")
+    res = run(*args)
+    assert res.returncode == 0
+    rows = res.stdout.splitlines()
+    assert rows[-2:] == ["2,0.081900000000000014,1|2|1", "2,-8.6497558593749959e-09,1|10|0"]
+    res = run(*args, "--merge-tol", "1e-12")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[-1] == "2,0.081899991350244158,1|2|1"
 
 
 @pytest.mark.parametrize("command", ["reflect", "transmit", "oracle"])

@@ -33,6 +33,7 @@ from layered_echo.oracle import enumerate_sequences, stats, tally
 from layered_echo.transit import (
     TRANSMISSION,
     enumerate_transmission,
+    format_k,
     half_total_time,
     reflection_arrival,
     transmission_arrival,
@@ -485,7 +486,7 @@ def _read_train_rows(stream, kind=REFLECTION, cutoff=math.inf):
         times.append(time)
         amps.append(amp)
         ks.append(k)
-    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), tuple(ks))
+    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), tuple(map(format_k, ks)))
 
 
 _ROW_COUNTS = st.integers(0, 40) | st.sampled_from([1023, 1024, 1025, 2047, 2048, 2049, 2500])
@@ -534,7 +535,7 @@ def _train_csvs(draw):
 def test_read_train_csv_matches_row_loop(text):
     want = _read_train_rows(io.StringIO(text), REFLECTION, 7.0)
     lean = read_train_csv(io.StringIO(text), REFLECTION, 7.0)
-    assert lean == PulseTrain(REFLECTION, 7.0, want.times, want.amps, ((),) * len(want))
+    assert lean == PulseTrain(REFLECTION, 7.0, want.times, want.amps, ("",) * len(want))
     assert [t.hex() for t in lean.times] == [t.hex() for t in want.times]
     assert [a.hex() for a in lean.amps] == [a.hex() for a in want.amps]
 
@@ -647,3 +648,27 @@ def test_train_matches_validated_reference(case):
     assert keys == sorted(keys)
     if floor == 0.0:
         assert len(train) == len(vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([REFLECTION, TRANSMISSION]),
+       taus=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=7),
+       tail=st.floats(0.0, 1.0), refl=st.floats(-0.9, 0.9), span=st.floats(0.0, 1.0))
+def test_k_text_column_holds_the_enumerated_vectors(kind, taus, tail, refl, span):
+    # M = len(taus) - 1 <= 6; a cutoff within a span of the first arrival
+    m = make_medium(taus, tail, [refl * (-1) ** n for n in range(len(taus))])
+    if kind == REFLECTION:
+        build, enum, arrival = reflection_green, enumerate_reflection, reflection_arrival
+    else:
+        build, enum, arrival = transmission_green, enumerate_transmission, transmission_arrival
+    first = taus[0] if kind == REFLECTION else half_total_time(m)
+    cutoff = first + span * sum(taus)
+    train = build(m, cutoff)
+    ks = train.ks
+    assert len(train.k_text) == len(ks) == len(train)
+    for text, k in zip(train.k_text, ks):
+        assert text == "|".join(map(str, k))
+    # the enumeration order, sorted stably on time alone
+    timed = [(arrival(tv.k, m), tv.k) for tv in enum(m, cutoff)]
+    assert list(ks) == [k for _, k in sorted(timed, key=lambda row: row[0])]
+    assert PulseTrain.from_terms(train.kind, train.cutoff, train.terms) == train

@@ -209,7 +209,9 @@ def test_terms_come_in_lexicographic_order_and_sort_on_time_alone(kind, taus, ta
     m = make_medium(taus, tail, [refl * (-1) ** n for n in range(len(taus))])
     first = taus[0] if kind == REFLECTION else transit.half_total_time(m)
     cutoff = first + span
-    rows = list(transit.terms(m, kind, cutoff, LayerFactors(kind, m.reflections)))
+    # the rows carry k as its text; compare the parsed int tuples
+    rows = [(t, transit.parse_k(k), a)
+            for t, k, a in transit.terms(m, kind, cutoff, LayerFactors(kind, m.reflections))]
     ks = [k for _, k, _ in rows]
     assert all(a < b for a, b in zip(ks, ks[1:]))
     # the build sorts on time alone; that must be exactly the (time, k) sort
