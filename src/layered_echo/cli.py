@@ -30,7 +30,7 @@ import time
 from contextlib import contextmanager
 from typing import Optional
 
-from . import goupillaud, greens, oracle, transit
+from . import goupillaud, greens, oracle
 from .amplitudes import class_count
 from .errors import DomainError, LayeredEchoError
 from .medium import read_medium, write_medium
@@ -125,14 +125,10 @@ def _cmd_oracle(args) -> int:
     mismatches = 0
     missing = 0
     for kind in kinds:
-        # the train first: past the term limit, its search stops sooner than the walks
         build = (greens.reflection_green if kind == REFLECTION
                  else greens.transmission_green)
         train = build(medium, args.cutoff)
-        # pad the walk budget so boundary arrivals cannot drop a class; the
-        # pad is relative, so it scales with the medium's travel times
-        pad = args.cutoff * (1.0 + 1e-9)
-        sums, counts = oracle.tally(medium, kind, pad)
+        sums, counts = oracle.tally(medium, kind, args.cutoff)
         ks = train.ks  # parsed from the k text on each read: read once
         for i, (closed, k) in enumerate(zip(train.amps, ks)):
             if args.corrupt and i == 0:
@@ -140,13 +136,11 @@ def _cmd_oracle(args) -> int:
             brute = sums.get(k, 0.0)
             scale = max(abs(brute), abs(closed), 1e-300)
             worst = max(worst, abs(closed - brute) / scale)
-        # a walk-found vector the train lacks; the arrival functions give the
-        # search's own floats, so the pad cannot make a false alarm
-        arrival = (transit.reflection_arrival if kind == REFLECTION
-                   else transit.transmission_arrival)
+        # a walk-found vector the train lacks: the walks prune on the train
+        # search's own arrival floats, so each one arrives by the cutoff
         in_train = set(ks)
         for k in sums:
-            if k not in in_train and arrival(k, medium) <= args.cutoff:
+            if k not in in_train:
                 missing += 1
                 print(f"missing transit vector {kind} k={k}", file=sys.stderr)
         for (k, b), count in counts.items():

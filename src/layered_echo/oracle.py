@@ -16,17 +16,20 @@ layer n); an excursion that goes strictly deeper than n marks a branch
 point at n.  For transmission walks the final excursion at each depth is
 the trunk and is excluded from both counts.
 
-One depth-first search, ``walks``, lists the walks.  It carries each
-walk's weight as a running product of visit factors and its k and b
-counts as it goes, so ``tally`` sums weights and counts classes without
-building a ``ScatteringSequence`` per walk or walking one twice;
-``enumerate_sequences`` wraps the same search.  ``stats`` and ``weight``
-read the same quantities off a finished ``ScatteringSequence`` and are the
-per-sequence reference the tests compare the search against.
+``tally`` counts classes and sums weights without listing walks.  It
+sums over walk states (interface, came_down, k, b), one level per path
+length: walks that share a state share every continuation, so its cost
+follows the number of states, which grows polynomially with the cutoff,
+and it holds that number to ``transit.MAX_TERMS``.  It prunes on the
+train search's own arrival floats, so it keeps or drops each class whole.
 
-This module is exponential by design -- it exists to validate the closed
-forms at desk scale -- and holds its walk count to ``transit.MAX_TERMS``,
-the limit of a transit search, read when a search starts.
+``walks`` is the reference it is tested against: one depth-first search
+that lists every walk, carrying its weight as a running product of visit
+factors and its k and b counts as it goes.  It is exponential in the
+cutoff by design and holds its walk count to ``transit.MAX_TERMS``, read
+when a search starts; ``enumerate_sequences`` wraps it.  ``stats`` and
+``weight`` read the same quantities off a finished ``ScatteringSequence``
+and are the per-sequence reference for the search.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .transit import (
     REFLECTION,
     TRANSMISSION,
     TransitVector,
+    _Memo,
     reflection_arrival,
     transmission_arrival,
 )
@@ -250,13 +254,107 @@ def enumerate_sequences(medium: Medium, kind: str,
 
 
 def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
-    """One walk pass: (weight_sums_by_vector, class_counts) of the same walks."""
+    """(weight_sums_by_vector, class_counts) of every walk of the given kind
+    whose transit vector arrives by the cutoff, summed over walk states.
+
+    A level holds the states of one path length.  A state is the key
+    (interface v, came_down, k, b) of the walks that reach it: the visit
+    factor of v and the b increment of the next step depend on that key
+    alone, so walks that share it share every continuation, and a state
+    carries only [walks, weight sum of the visits before v].  A step
+    multiplies the weight sum by the visit factor and adds both into the
+    next level; a finished walk adds into ``counts[k, b]`` and ``sums[k]``.
+    The cost follows the number of states, not of walks.
+
+    A move is pruned when the least arrival of any walk through the state
+    it makes is past the cutoff, taken from ``reflection_arrival`` or
+    ``transmission_arrival`` (the train search's own floats), which are
+    monotone in every entry of k.  So pruning depends on the state alone, a
+    class is kept or dropped whole, and the vectors found are the train's
+    at any cutoff, one that equals an arrival time included.  The sums are
+    not bit-identical to sums taken in walk order.  Raises
+    EnumerationLimitExceeded as soon as more than ``transit.MAX_TERMS``
+    states (the root included) are made, and DomainError for a non-finite
+    cutoff.
+    """
+    if not math.isfinite(cutoff):
+        raise DomainError("cutoff must be finite")
+    m = medium.n_layers
+    refls = medium.reflections
+    neg = [-r for r in refls]
+    trans = [math.sqrt(1.0 - r * r) for r in refls]
+    if kind == REFLECTION:
+        # k never shrinks along a walk and climbing straight out adds nothing
+        # to it, so a step down that makes k survives iff k arrives; a step
+        # up always does
+        arrives = _Memo(lambda k: reflection_arrival(k, medium) <= cutoff)
+        k, b = (1,) + (0,) * m, (0,) * (m + 1)
+        alive = arrives[k]
+    elif kind == TRANSMISSION:
+        # the cheapest way on from v - 1 goes straight down, crossing every
+        # layer from v to M once more, so a step up from v survives iff that
+        # vector arrives; a step down keeps the cheapest way on it had
+        def straight_down_arrives(key):
+            k, v = key
+            return transmission_arrival(k[:v] + tuple(x + 1 for x in k[v:]), medium) <= cutoff
+
+        climbs = _Memo(straight_down_arrives)
+        # one excursion per level is the trunk; it counts in neither k nor b
+        k, b = (0,) + (-1,) * m, (-1,) * (m + 1)
+        alive = climbs[k, 0]
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    reflection = kind == REFLECTION
     sums: Dict[Tuple[int, ...], float] = {}
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for _, k, b, w in walks(medium, kind, cutoff):
-        sums[k] = sums.get(k, 0.0) + w
-        key = k, b
-        counts[key] = counts.get(key, 0) + 1
+    if not alive:
+        return sums, counts
+    limit = transit.MAX_TERMS
+    too_many = f"more than {limit} {kind} walk states by cutoff {cutoff:g}"
+    made = 1  # the root
+    if made > limit:
+        raise EnumerationLimitExceeded(too_many)
+    level = {(0, True, k, b): [1, 1.0]}
+    while level:
+        nxt: Dict[tuple, list] = {}
+        get = nxt.get
+
+        def step(key, n, w):
+            nonlocal made
+            state = get(key)
+            if state is None:
+                made += 1
+                if made > limit:
+                    raise EnumerationLimitExceeded(too_many)
+                nxt[key] = [n, w]
+            else:
+                state[0] += n
+                state[1] += w
+
+        for (v, came_down, k, b), (n, w) in level.items():
+            # the visit factor of v: a bounce back to the side it came from is
+            # R_v from above and -R_v from below, a pass-through is T_v; stepping
+            # down opens an excursion below v, a branch of the excursion at v
+            # unless that one has been deeper already
+            if came_down:
+                w_up, w_down = w * refls[v], w * trans[v]
+                b_down = b[:v] + (b[v] + 1,) + b[v + 1:]
+            else:
+                w_up, w_down, b_down = w * trans[v], w * neg[v], b
+            if v:
+                if reflection or climbs[k, v]:
+                    step((v - 1, False, k, b), n, w_up)
+            elif reflection:
+                counts[k, b] = counts.get((k, b), 0) + n
+                sums[k] = sums.get(k, 0.0) + w_up
+            if v < m:
+                k2 = k[:v + 1] + (k[v + 1] + 1,) + k[v + 2:]
+                if not reflection or arrives[k2]:
+                    step((v + 1, True, k2, b_down), n, w_down)
+            elif not reflection:
+                counts[k, b_down] = counts.get((k, b_down), 0) + n
+                sums[k] = sums.get(k, 0.0) + w_down
+        level = nxt
     return sums, counts
 
 

@@ -145,7 +145,8 @@ class _UnitFactors(dict):
 _UNIT_FACTORS = _UnitFactors()
 
 # The most work one search may do: transit vectors for ``terms``, cell
-# updates for ``goupillaud.simulate`` and walks for ``oracle.walks``.
+# updates for ``goupillaud.simulate``, walk states for ``oracle.tally`` and
+# walks for ``oracle.walks``.
 MAX_TERMS = 10_000_000
 
 

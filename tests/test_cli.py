@@ -164,6 +164,17 @@ def test_oracle_walk_pad_scales_with_the_travel_times(tmp_path):
     assert "missing transit vectors: 0\n" in outs[0]
 
 
+def test_oracle_reaches_past_the_term_limit_of_walks(tmp_path):
+    # 18 496 590 reflection and 34 457 877 transmission walks arrive by 14;
+    # the oracle sums them by walk state, so it stays far below the limit
+    medium = tmp_path / "reach.taur"
+    medium.write_text("taur v1 M=3\n0.7 -0.88\n0.75 0.52\n0.7 0.37\n0.67 -0.38\n")
+    res = run("oracle", "--medium", str(medium), "--cutoff", "14", timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "class count mismatches: 0\n" in res.stdout
+    assert "missing transit vectors: 0\n" in res.stdout
+
+
 def test_lattice_pass_and_corrupt(small_medium):
     res = run("lattice", "--medium", small_medium, "--steps", "10")
     assert res.returncode == 0

@@ -17,6 +17,8 @@ from layered_echo import (
     enumerate_transmission,
     make_medium,
     reflection_amplitude,
+    reflection_green,
+    transmission_green,
 )
 from layered_echo import transit
 from layered_echo.amplitudes import class_count
@@ -208,6 +210,19 @@ def test_weight_sums_match_closed_form_per_vector():
         assert sums[tv.k] == pytest.approx(closed, rel=1e-10, abs=1e-15)
 
 
+@pytest.mark.parametrize("cutoff", [1.9, 2.5, 2.6, 3.0])
+def test_classes_are_whole_at_an_exact_arrival(cutoff):
+    # commensurate travel times: each cutoff is the arrival time of some
+    # transit vector, and walk times summed leg by leg land on either side of
+    # it, so pruning on them would keep part of a class
+    m = make_medium((0.3, 0.2, 0.25, 0.4), 0.0, (0.4, -0.3, 0.2, 0.5))
+    for kind, build in ((REFLECTION, reflection_green),
+                        (TRANSMISSION, transmission_green)):
+        for (k, b), n in class_counts(m, kind, cutoff).items():
+            assert n == class_count(TransitVector(k, kind), b)
+        assert weight_sums_by_vector(m, kind, cutoff).keys() == set(build(m, cutoff).ks)
+
+
 def _reference_paths(medium, kind, cutoff):
     """The walks as a recursive DFS lists them, one path tuple each: the
     order ``walks`` must keep."""
@@ -245,6 +260,22 @@ def _reference_paths(medium, kind, cutoff):
         yield from visit(0, half[0])
 
 
+def _walk_states(path, m1):
+    """The walk state (v, came_down, down-crossings, branched excursions) at
+    each interface of a path, counted as ``_counts`` counts them."""
+    down, branched, deeper = [0] * m1, [0] * m1, [False] * m1
+    for a, v in zip(path, path[1:-1]):
+        if v == a + 1:
+            down[v] += 1
+            deeper[v] = False
+            if a >= 0 and not deeper[a]:
+                branched[a] += 1
+                deeper[a] = True
+        else:
+            deeper[a] = False
+        yield v, v == a + 1, tuple(down), tuple(branched)
+
+
 @st.composite
 def _walk_cases(draw):
     m = draw(st.integers(1, 3))
@@ -272,21 +303,44 @@ def test_walks_match_the_per_sequence_reference(case):
     assert [path for path, _, _, _ in got] == expected
     sequences = list(enumerate_sequences(medium, kind, cutoff))
     assert [seq.depths for seq in sequences] == expected
-    sums, counts = {}, {}
     for (_, k, b, w), seq in zip(got, sequences):
         ref = stats(seq, medium)
         assert (k, b, w.hex()) == (ref.k.k, ref.b, weight(seq, medium.reflections).hex())
-        sums[ref.k.k] = sums.get(ref.k.k, 0.0) + ref.weight
-        counts[ref.k.k, ref.b] = counts.get((ref.k.k, ref.b), 0) + 1
+    # tally's reference: the walks whose transit vector arrives by the cutoff,
+    # listed at a padded budget so that the leg-summed walk times cut none short
+    arrival = (transit.reflection_arrival if kind == REFLECTION
+               else transit.transmission_arrival)
+    counts, weights, lengths, states = {}, {}, {}, set()
+    for path, k, b, w in walks(medium, kind, cutoff * (1 + 1e-9)):
+        if arrival(k, medium) <= cutoff:
+            counts[k, b] = counts.get((k, b), 0) + 1
+            weights.setdefault(k, []).append(w)
+            lengths[k] = len(path)  # the same for every walk of k
+            states.update(_walk_states(path, medium.n_layers + 1))
     got_sums, got_counts = tally(medium, kind, cutoff)
-    assert [(k, s.hex()) for k, s in got_sums.items()] == [(k, s.hex()) for k, s in sums.items()]
-    assert list(got_counts.items()) == list(counts.items())
-    if got:
-        with patch.object(transit, "MAX_TERMS", len(got) - 1):
+    assert got_counts == counts
+    assert got_sums.keys() == weights.keys()
+    classes = {}
+    for k, _ in counts:
+        classes[k] = classes.get(k, 0) + 1
+    for k, ws in weights.items():
+        # n counts roundings, measured from the exact products: at each visit
+        # of a walk, tally rounds one product and at most one merge of the two
+        # states that lead into a state, and the reference rounds one product;
+        # at most two finished states per class add into sums[k]; fsum rounds
+        # once.  A path of L entries has L - 2 visits, so 3 L covers them all.
+        # A product that underflows may also lose half the least subnormal,
+        # and no factor exceeds 1 in size to magnify that later.
+        n = 3 * lengths[k] + 2 * classes[k]
+        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        bound = gamma * math.fsum(map(abs, ws)) + n * len(ws) * math.ulp(0.0)
+        assert abs(got_sums[k] - math.fsum(ws)) <= bound
+    if states:
+        with patch.object(transit, "MAX_TERMS", len(states) - 1):
             with pytest.raises(EnumerationLimitExceeded):
                 tally(medium, kind, cutoff)
-        with patch.object(transit, "MAX_TERMS", len(got)):
-            assert sum(tally(medium, kind, cutoff)[1].values()) == len(got)
+        with patch.object(transit, "MAX_TERMS", len(states)):
+            assert tally(medium, kind, cutoff)[1] == counts
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             tally(medium, kind, bad)
