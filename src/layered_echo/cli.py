@@ -28,13 +28,14 @@ import stat
 import sys
 import time
 from contextlib import contextmanager
+from itertools import chain
 from typing import Optional
 
 from . import goupillaud, greens, oracle
 from .amplitudes import class_count
 from .errors import DomainError, LayeredEchoError
 from .medium import read_medium, write_medium
-from .transit import REFLECTION, TRANSMISSION, TransitVector
+from .transit import REFLECTION, TRANSMISSION, TransitVector, branch_set
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -113,6 +114,15 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _class_mismatch(kind: str, k, b, count: int, expected: int) -> bool:
+    """Name on stderr a class whose walk count differs from the formula's."""
+    if count == expected:
+        return False
+    print(f"class count mismatch {kind} k={k} b={b}: "
+          f"oracle {count} vs formula {expected}", file=sys.stderr)
+    return True
+
+
 def _cmd_oracle(args) -> int:
     if not (args.cutoff > 0):
         raise DomainError("--cutoff must be positive")
@@ -139,18 +149,21 @@ def _cmd_oracle(args) -> int:
         # a walk-found vector the train lacks: the walks prune on the train
         # search's own arrival floats, so each one arrives by the cutoff
         in_train = set(ks)
-        for k in sums:
-            if k not in in_train:
-                missing += 1
-                print(f"missing transit vector {kind} k={k}", file=sys.stderr)
-        for (k, b), count in counts.items():
+        lacking = [k for k in sums if k not in in_train]
+        missing += len(lacking)
+        for k in lacking:
+            print(f"missing transit vector {kind} k={k}", file=sys.stderr)
+        # every class of every vector against the formula, then each class
+        # the walks found outside the formula's set against 0
+        n_classes = len(counts)
+        for k in chain(ks, lacking):
             tv = TransitVector(k, kind)
-            expected = class_count(tv, b)
-            if count != expected:
-                mismatches += 1
-                print(f"class count mismatch {kind} k={k} b={b}: "
-                      f"oracle {count} vs formula {expected}", file=sys.stderr)
-        print(f"{kind}: vectors={len(train)} classes={len(counts)}", file=sys.stderr)
+            for b in branch_set(tv):
+                mismatches += _class_mismatch(kind, k, b, counts.pop((k, b), 0),
+                                              class_count(tv, b))
+        for (k, b), count in counts.items():
+            mismatches += _class_mismatch(kind, k, b, count, 0)
+        print(f"{kind}: vectors={len(train)} classes={n_classes}", file=sys.stderr)
     print(f"max relative amplitude deviation: {worst:.3e}")
     print(f"class count mismatches: {mismatches}")
     print(f"missing transit vectors: {missing}")

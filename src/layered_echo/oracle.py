@@ -23,13 +23,13 @@ follows the number of states, which grows polynomially with the cutoff,
 and it holds that number to ``transit.MAX_TERMS``.  It prunes on the
 train search's own arrival floats, so it keeps or drops each class whole.
 
-``walks`` is the reference it is tested against: one depth-first search
-that lists every walk, carrying its weight as a running product of visit
-factors and its k and b counts as it goes.  It is exponential in the
+``enumerate_sequences`` is the reference it is tested against: a
+depth-first search that lists every walk arriving by the cutoff, path
+alone, pruned on times summed leg by leg.  It is exponential in the
 cutoff by design and holds its walk count to ``transit.MAX_TERMS``, read
-when a search starts; ``enumerate_sequences`` wraps it.  ``stats`` and
-``weight`` read the same quantities off a finished ``ScatteringSequence``
-and are the per-sequence reference for the search.
+when a search starts.  ``stats`` and ``weight`` read k, b, the arrival
+time and the weight off each listed ``ScatteringSequence`` from first
+principles.
 """
 
 from __future__ import annotations
@@ -152,25 +152,20 @@ def leg_time(seq: ScatteringSequence, medium: Medium) -> float:
     return t
 
 
-def walks(medium: Medium, kind: str, cutoff: float) -> Iterator[tuple]:
-    """Yield (path, k, b, weight) for every walk of the given kind arriving
-    by the cutoff, once each.
+def enumerate_sequences(medium: Medium, kind: str,
+                        cutoff: float) -> Iterator[ScatteringSequence]:
+    """Yield every walk of the given kind arriving by the cutoff, once each.
 
     Depth-first search with time-budget pruning: a branch is abandoned as
     soon as the time spent plus the cheapest exit exceeds the cutoff.  The
-    search carries what ``stats`` reads off a finished walk: the weight is
-    the product of the per-visit factors, multiplied left to right as
-    ``weight()`` multiplies them, and ``k``/``b`` are the transit and branch
-    count tuples.  ``path`` is the live list of depths, valid until the next
-    walk is requested.  Raises EnumerationLimitExceeded past
-    ``transit.MAX_TERMS`` walks and DomainError for a non-finite cutoff.
+    search carries the path alone; ``stats`` and ``weight`` read k, b and
+    the weight off each walk it yields.  Raises EnumerationLimitExceeded
+    past ``transit.MAX_TERMS`` walks and DomainError for a non-finite
+    cutoff.
     """
     if not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
     m = medium.n_layers
-    refls = medium.reflections
-    neg = [-r for r in refls]
-    trans = [math.sqrt(1.0 - r * r) for r in refls]
     half = [0.5 * t for t in medium.all_taus]
     exit_cost = [0.0] * (m + 1)
     acc = 0.0
@@ -179,14 +174,13 @@ def walks(medium: Medium, kind: str, cutoff: float) -> Iterator[tuple]:
         for v in range(m + 1):
             acc += half[v]
             exit_cost[v] = acc
-        k, b = (1,) + (0,) * m, (0,) * (m + 1)
+        end = -1
     elif kind == TRANSMISSION:
         # exit_cost[v]: time to descend from interface v to M+1
         for v in range(m, -1, -1):
             acc += half[v + 1]
             exit_cost[v] = acc
-        # one excursion per level is the trunk; it counts in neither k nor b
-        k, b = (0,) + (-1,) * m, (-1,) * (m + 1)
+        end = m + 1
     else:
         raise ValueError(f"unknown kind {kind!r}")
     reflection = kind == REFLECTION
@@ -197,60 +191,36 @@ def walks(medium: Medium, kind: str, cutoff: float) -> Iterator[tuple]:
     limit = transit.MAX_TERMS
     emitted = 0
     path = [-1]
-    # (interface v, the one before it, time on arrival at v, product of the
-    # factors of the visits before v, k, b, index of v in the path)
-    stack = [(0, -1, t0, 1.0, k, b, 1)]
+    # (interface v, time on arrival at v, index of v in the path)
+    stack = [(0, t0, 1)]
     pop, push = stack.pop, stack.append
     while stack:
-        v, prev, t, w, k, b, d = pop()
+        v, t, d = pop()
         del path[d:]
         path.append(v)
-        # the visit factor of v: a bounce back to the side it came from is
-        # R_v from above and -R_v from below, a pass-through is T_v
-        came_down = prev == v - 1
-        w_up = w * (refls[v] if came_down else trans[v])
-        w_down = w * (trans[v] if came_down else neg[v])
-        # stepping down opens an excursion below v; it is a branch of the
-        # excursion at v unless that one has been deeper already
-        b_down = b[:v] + (b[v] + 1,) + b[v + 1:] if came_down else b
         if reflection:
             if v < m:
                 t2 = t + half[v + 1]
                 if t2 + exit_cost[v + 1] <= cutoff:
-                    push((v + 1, v, t2, w_down, k[:v + 1] + (k[v + 1] + 1,) + k[v + 2:],
-                          b_down, d + 1))
+                    push((v + 1, t2, d + 1))
             if v:
-                push((v - 1, v, t + half[v], w_up, k, b, d + 1))
+                push((v - 1, t + half[v], d + 1))
                 continue
-            path.append(-1)
-            item = path, k, b, w_up
         else:
             if v:
                 t2 = t + half[v]
                 if t2 + exit_cost[v - 1] <= cutoff:
-                    push((v - 1, v, t2, w_up, k, b, d + 1))
+                    push((v - 1, t2, d + 1))
             if v < m:
                 t2 = t + half[v + 1]
                 if t2 + exit_cost[v + 1] <= cutoff:
-                    push((v + 1, v, t2, w_down, k[:v + 1] + (k[v + 1] + 1,) + k[v + 2:],
-                          b_down, d + 1))
+                    push((v + 1, t2, d + 1))
                 continue
-            path.append(m + 1)
-            item = path, k, b_down, w_down
         emitted += 1
         if emitted > limit:
             raise EnumerationLimitExceeded(
                 f"more than {limit} sequences below cutoff {cutoff}")
-        yield item
-
-
-def enumerate_sequences(medium: Medium, kind: str,
-                        cutoff: float) -> Iterator[ScatteringSequence]:
-    """Yield every walk of the given kind arriving by the cutoff, once each,
-    in the order of ``walks``, which holds them to its limit.
-    """
-    return (ScatteringSequence(tuple(path), kind)
-            for path, _, _, _ in walks(medium, kind, cutoff))
+        yield ScatteringSequence(tuple(path) + (end,), kind)
 
 
 def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
@@ -272,7 +242,9 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
     monotone in every entry of k.  So pruning depends on the state alone, a
     class is kept or dropped whole, and the vectors found are the train's
     at any cutoff, one that equals an arrival time included.  The sums are
-    not bit-identical to sums taken in walk order.  Raises
+    not bit-identical to the ``weight`` of each walk of
+    ``enumerate_sequences`` summed in walk order, the reference it is
+    tested against, but agree with it to a bound on rounding.  Raises
     EnumerationLimitExceeded as soon as more than ``transit.MAX_TERMS``
     states (the root included) are made, and DomainError for a non-finite
     cutoff.

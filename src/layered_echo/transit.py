@@ -146,7 +146,7 @@ _UNIT_FACTORS = _UnitFactors()
 
 # The most work one search may do: transit vectors for ``terms``, cell
 # updates for ``goupillaud.simulate``, walk states for ``oracle.tally`` and
-# walks for ``oracle.walks``.
+# walks for ``oracle.enumerate_sequences``.
 MAX_TERMS = 10_000_000
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import BENCH10
-from layered_echo import cli, greens, transit
+from layered_echo import cli, greens, oracle, transit
 from layered_echo.errors import LayeredEchoError
 
 PKG = [sys.executable, "-m", "layered_echo"]
@@ -129,8 +129,8 @@ def test_oracle_pass_and_corrupt(small_medium):
 def test_oracle_fails_when_the_train_lacks_a_vector(tmp_path, capsys, monkeypatch):
     medium = tmp_path / "m2.taur"
     medium.write_text("taur v1 M=2\n1.0 0.5\n0.7 -0.3\n1.3 0.4\n")
-    # both kinds have an arrival at 5.0, inside the walks' padded budget
-    # for the lower cutoff but beyond the cutoff itself
+    # both kinds have an arrival at 5.0, just past the lower cutoff: the
+    # walks and the train both leave it out, so it is not reported missing
     for cutoff in ("6", "4.9999999999"):
         assert cli.main(["oracle", "--medium", str(medium), "--cutoff", cutoff]) == 0
         assert "missing transit vectors: 0\n" in capsys.readouterr().out
@@ -150,8 +150,55 @@ def test_oracle_fails_when_the_train_lacks_a_vector(tmp_path, capsys, monkeypatc
     assert len([line for line in err.splitlines() if "missing" in line]) == 2
 
 
+def _oracle_with_edited_classes(tmp_path, capsys, monkeypatch, edit):
+    """Exit code, stdout and the class mismatch lines of stderr of ``oracle``
+    at cutoff 6 on a 2-layer medium, with ``edit`` applied to the reflection
+    class counts of the walks."""
+    medium = tmp_path / "m2.taur"
+    medium.write_text("taur v1 M=2\n1.0 0.5\n0.7 -0.3\n1.3 0.4\n")
+    tally = oracle.tally
+
+    def edited(medium, kind, cutoff):
+        sums, counts = tally(medium, kind, cutoff)
+        if kind == transit.REFLECTION:
+            edit(counts)
+        return sums, counts
+
+    monkeypatch.setattr(oracle, "tally", edited)
+    code = cli.main(["oracle", "--medium", str(medium), "--cutoff", "6"])
+    out, err = capsys.readouterr()
+    return code, out, [line for line in err.splitlines() if "mismatch" in line]
+
+
+def test_oracle_fails_when_the_walks_lack_a_class(tmp_path, capsys, monkeypatch):
+    # k = (1, 2, 2) has more than one class; the walks keep the others
+    def drop(counts):
+        del counts[(1, 2, 2), (1, 1, 0)]
+
+    code, out, lines = _oracle_with_edited_classes(tmp_path, capsys, monkeypatch, drop)
+    assert code == 1
+    assert "class count mismatches: 1\n" in out
+    assert lines == ["class count mismatch reflection k=(1, 2, 2) b=(1, 1, 0): "
+                     "oracle 0 vs formula 2"]
+
+
+def test_oracle_fails_on_a_class_outside_the_formulas_set(tmp_path, capsys,
+                                                           monkeypatch):
+    # no walk of k = (1, 0, 0) branches; the formula has no such class
+    def add(counts):
+        counts[(1, 0, 0), (5, 0, 0)] = 1
+
+    code, out, lines = _oracle_with_edited_classes(tmp_path, capsys, monkeypatch, add)
+    assert code == 1
+    assert "class count mismatches: 1\n" in out
+    assert lines == ["class count mismatch reflection k=(1, 0, 0) b=(5, 0, 0): "
+                     "oracle 1 vs formula 0"]
+
+
 def test_oracle_walk_pad_scales_with_the_travel_times(tmp_path):
-    # the walk budget's pad must be relative: an absolute 1e-12 s would be 12
+    # the check must not depend on the unit of time: the walks prune on the
+    # train search's own arrival floats, so the medium scaled by 1e-14 gives
+    # the same report, where any absolute slack such as 1e-12 s would be 12
     # cutoffs of the tiny medium, whose walks run past the term limit
     outs = []
     for tau, cutoff in (("1", "8"), ("1e-14", "8e-14")):

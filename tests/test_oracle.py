@@ -1,9 +1,10 @@
 import math
 import random
+from itertools import islice
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layered_echo import (
     DomainError,
@@ -29,7 +30,6 @@ from layered_echo.oracle import (
     leg_time,
     stats,
     tally,
-    walks,
     weight,
     weight_sums_by_vector,
 )
@@ -225,7 +225,7 @@ def test_classes_are_whole_at_an_exact_arrival(cutoff):
 
 def _reference_paths(medium, kind, cutoff):
     """The walks as a recursive DFS lists them, one path tuple each: the
-    order ``walks`` must keep."""
+    order ``enumerate_sequences`` must keep."""
     m = medium.n_layers
     half = [0.5 * t for t in medium.all_taus]
     # exit_cost[v]: time from interface v to the receiver
@@ -296,27 +296,35 @@ def _walk_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_walk_cases())
+# commensurate travel times, each cutoff the time of a walk: the search's
+# leg sums land on it one way and just past it the other, so the step-up
+# prune of the transmission search decides a walk in the first case and
+# the step-down prune in the second
+@example((make_medium((0.6, 0.3), 0.25, (0.4, -0.3)), TRANSMISSION, 1.4749999999999999))
+@example((make_medium((0.7, 0.1), 0.25, (0.4, -0.3)), TRANSMISSION, 0.7249999999999999))
 def test_walks_match_the_per_sequence_reference(case):
     medium, kind, cutoff = case
-    got = [(tuple(path), k, b, w) for path, k, b, w in walks(medium, kind, cutoff)]
     expected = list(_reference_paths(medium, kind, cutoff))
-    assert [path for path, _, _, _ in got] == expected
-    sequences = list(enumerate_sequences(medium, kind, cutoff))
+    # one walk past the reference is enough to fail a search that runs away
+    sequences = list(islice(enumerate_sequences(medium, kind, cutoff), len(expected) + 1))
     assert [seq.depths for seq in sequences] == expected
-    for (_, k, b, w), seq in zip(got, sequences):
-        ref = stats(seq, medium)
-        assert (k, b, w.hex()) == (ref.k.k, ref.b, weight(seq, medium.reflections).hex())
+    if sequences:
+        with patch.object(transit, "MAX_TERMS", len(sequences) - 1):
+            with pytest.raises(EnumerationLimitExceeded):
+                list(enumerate_sequences(medium, kind, cutoff))
+        with patch.object(transit, "MAX_TERMS", len(sequences)):
+            assert list(enumerate_sequences(medium, kind, cutoff)) == sequences
     # tally's reference: the walks whose transit vector arrives by the cutoff,
     # listed at a padded budget so that the leg-summed walk times cut none short
-    arrival = (transit.reflection_arrival if kind == REFLECTION
-               else transit.transmission_arrival)
     counts, weights, lengths, states = {}, {}, {}, set()
-    for path, k, b, w in walks(medium, kind, cutoff * (1 + 1e-9)):
-        if arrival(k, medium) <= cutoff:
-            counts[k, b] = counts.get((k, b), 0) + 1
-            weights.setdefault(k, []).append(w)
-            lengths[k] = len(path)  # the same for every walk of k
-            states.update(_walk_states(path, medium.n_layers + 1))
+    for seq in enumerate_sequences(medium, kind, cutoff * (1 + 1e-9)):
+        ref = stats(seq, medium)
+        if ref.arrival <= cutoff:
+            k = ref.k.k
+            counts[k, ref.b] = counts.get((k, ref.b), 0) + 1
+            weights.setdefault(k, []).append(ref.weight)
+            lengths[k] = len(seq.depths)  # the same for every walk of k
+            states.update(_walk_states(seq.depths, medium.n_layers + 1))
     got_sums, got_counts = tally(medium, kind, cutoff)
     assert got_counts == counts
     assert got_sums.keys() == weights.keys()
