@@ -34,14 +34,8 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from .errors import InvalidTransitVector, ReflectionOutOfRange
-from .transit import (
-    REFLECTION,
-    TRANSMISSION,
-    TransitVector,
-    left_shift,
-    multi_binomial_exact,
-)
+from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
+from .transit import REFLECTION, TRANSMISSION, TransitVector, left_shift
 
 
 def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
@@ -174,16 +168,21 @@ def branch_summand(refls: Sequence[float], tv: TransitVector,
 
 
 def class_count(tv: TransitVector, b: Sequence[int]) -> int:
-    """Exact number of scattering sequences in branch class (k, b)."""
+    """Exact number of scattering sequences in branch class (k, b), the
+    product of C(k_n, b_n) C(k~_n - u_n, b_n - u_n); DomainError unless b
+    is in k's branch set (``transit.branch_ranges``)."""
     k = tv.k
-    kt = left_shift(k)
-    b = tuple(int(x) for x in b)
-    if tv.kind == REFLECTION:
-        u = tuple(min(1, x) for x in kt)
-        return multi_binomial_exact(k, b) * multi_binomial_exact(
-            tuple(ktn - un for ktn, un in zip(kt, u)),
-            tuple(bn - un for bn, un in zip(b, u)))
-    return multi_binomial_exact(k, b) * multi_binomial_exact(kt, b)
+    if len(b) != len(k):
+        raise DomainError(f"length mismatch: {len(k)} vs {len(b)}")
+    refl = tv.kind == REFLECTION
+    out = 1
+    for kn, ktn, bn in zip(k, left_shift(k), b):
+        bn = int(bn)
+        un = 1 if refl and ktn else 0
+        if not un <= bn <= min(kn, ktn):
+            raise DomainError(f"b_n = {bn} outside {un}..{min(kn, ktn)}")
+        out *= math.comb(kn, bn) * math.comb(ktn - un, bn - un)
+    return out
 
 
 def class_weight(refls: Sequence[float], tv: TransitVector,

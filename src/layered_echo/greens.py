@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, List, TextIO, Tuple
+from typing import Callable, Iterable, Iterator, List, TextIO, Tuple
 
 from . import transit
 # the amplitude functions stay importable from here, where callers look them up
@@ -100,17 +100,22 @@ class SampledSignal:
         return [self.t0 + i * self.dt for i in range(len(self.samples))]
 
 
-def _build_train(medium: Medium, cutoff: float, kind: str,
-                 amplitude_floor: float) -> PulseTrain:
+def arrivals(medium: Medium, kind: str, cutoff: float) -> Iterator[Tuple[float, str, float]]:
+    """The closed form's (arrival, k text, amplitude) rows up to the cutoff,
+    in increasing lexicographic order of k, as ``transit.terms`` yields them."""
     if not math.isfinite(cutoff):
         raise DomainError(f"cutoff must be finite, got {cutoff}")
+    return transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections))
+
+
+def _build_train(medium: Medium, cutoff: float, kind: str,
+                 amplitude_floor: float) -> PulseTrain:
+    rows = arrivals(medium, kind, cutoff)
     if math.isnan(amplitude_floor):
         raise DomainError("amplitude floor must not be nan")
-    # (time, k text, amp) rows in (time, k) order: the search yields k in
-    # increasing lexicographic order and the sort is stable, so sorting on
-    # time alone gives the (time, k) order without comparing any k
-    rows = list(transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections)))
-    rows.sort(key=itemgetter(0))
+    # a stable sort on time alone of rows in lexicographic order of k gives
+    # the (time, k) order without comparing any k
+    rows = sorted(rows, key=itemgetter(0))
     if amplitude_floor > 0.0:
         rows = [row for row in rows if abs(row[2]) >= amplitude_floor]
     # the columns share the float and str objects the search made

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layered_echo import (
+    DomainError,
     InvalidTransitVector,
     REFLECTION,
     ReflectionOutOfRange,
@@ -134,6 +135,23 @@ def test_amplitude_bounded_by_class_count_total():
         refls = [rng.uniform(-0.99, 0.99) for _ in range(m_layers + 1)]
         total = sum(class_count(tv, b) for b in branch_set(tv))
         assert abs(reflection_amplitude(refls, tv)) <= total
+
+
+@pytest.mark.parametrize("tv, b", [
+    (rvec(1, 2, 0), (0, 0, 0)),   # b_0 below u_0 = 1
+    (rvec(1, 2, 0), (2, 0, 0)),   # b_0 above k_0
+    (rvec(1, 2, 1), (1, 2, 0)),   # b_1 within k_1 but above k~_1
+    (rvec(1, 0), (1, -1)),        # negative b_1
+    (tvec(0, 2, 1), (1, 0, 0)),   # b_0 above k_0
+    (tvec(0, 2, 1), (0, 2, 0)),   # b_1 above k~_1
+    (tvec(0, 2, 1), (0, 0, -1)),  # negative b_2
+    (rvec(1, 2, 0), (1, 1)),      # b shorter than k
+    (tvec(0, 2, 1), (0, 1, 0, 0)),  # b longer than k
+], ids=["refl-below-u", "refl-above-k", "refl-above-kt", "refl-negative",
+        "trans-above-k", "trans-above-kt", "trans-negative", "short", "long"])
+def test_class_count_refuses_a_b_outside_the_branch_set(tv, b):
+    with pytest.raises(DomainError):
+        class_count(tv, b)
 
 
 def test_transmission_polynomial_part():

@@ -122,8 +122,61 @@ def test_oracle_pass_and_corrupt(small_medium):
     res = run("oracle", "--medium", small_medium, "--cutoff", "4")
     assert res.returncode == 0
     assert "max relative amplitude deviation" in res.stdout
+    # --corrupt is no option: test_verifiers_fail_on_an_edited_closed_form
+    # makes the failing runs by editing the closed form's rows
     bad = run("oracle", "--medium", small_medium, "--cutoff", "4", "--corrupt")
-    assert bad.returncode == 1
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --corrupt" in bad.stderr
+
+
+def test_oracle_output_is_pinned(tmp_path):
+    medium = tmp_path / "decimal.taur"
+    medium.write_text("taur v1 M=2\n0.3 0.4\n0.5 -0.3\n0.7 0.5\ntail 0.25\n")
+    res = run("oracle", "--medium", str(medium), "--cutoff", "3")
+    assert res.returncode == 0
+    assert res.stdout == ("max relative amplitude deviation: 3.353e-16\n"
+                          "class count mismatches: 0\n"
+                          "missing transit vectors: 0\n")
+    assert res.stderr == ("reflection: vectors=13 classes=14\n"
+                          "transmission: vectors=11 classes=14\n")
+
+
+def _edit_arrivals(monkeypatch, edit):
+    """Make ``greens.arrivals`` return its rows with ``edit`` applied to
+    their list."""
+    arrivals = greens.arrivals
+
+    def edited(medium, kind, cutoff):
+        rows = list(arrivals(medium, kind, cutoff))
+        edit(rows)
+        return iter(rows)
+
+    monkeypatch.setattr(greens, "arrivals", edited)
+
+
+def _perturb_first(rows):
+    t, k, amp = rows[0]
+    rows[0] = (t, k, amp + 1e-3)
+
+
+def _drop_first(rows):
+    del rows[0]
+
+
+@pytest.mark.parametrize("command, edit", [
+    (("oracle", "--cutoff", "4"), _perturb_first),
+    (("lattice", "--steps", "10"), _perturb_first),
+    (("lattice", "--steps", "10"), _drop_first),
+], ids=["oracle-perturb", "lattice-perturb", "lattice-drop"])
+def test_verifiers_fail_on_an_edited_closed_form(small_medium, capsys, monkeypatch,
+                                                 command, edit):
+    argv = [command[0], "--medium", small_medium, *command[1:]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _edit_arrivals(monkeypatch, edit)
+    assert cli.main(argv) == 1
+    worst = float(capsys.readouterr().out.splitlines()[0].rpartition(" ")[2])
+    assert worst > 1e-4
 
 
 def test_oracle_fails_when_the_train_lacks_a_vector(tmp_path, capsys, monkeypatch):
@@ -227,7 +280,29 @@ def test_lattice_pass_and_corrupt(small_medium):
     assert res.returncode == 0
     assert "energy" in res.stdout
     bad = run("lattice", "--medium", small_medium, "--steps", "10", "--corrupt")
-    assert bad.returncode == 1
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --corrupt" in bad.stderr
+
+
+def test_lattice_memory_follows_the_slots(tmp_path):
+    # this equal-tau M = 6 medium has 397 594 reflection and 1 107 568
+    # transmission vectors by its 28th slot; binned as they come, they fit
+    # in an address space of 200 MB, where a train of them all does not
+    resource = pytest.importorskip("resource")
+    refls = ["-0.42954255164514044", "0.44744233677917089",
+             "0.294653205773795", "0.2089172476650224"]
+    medium = tmp_path / "twin.taur"
+    medium.write_text("taur v1 M=6\n" + "".join(
+        f"0.52687805524814268 {refls[n % 4]}\n" for n in range(7)))
+    limit = 200 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = subprocess.run(PKG + ["lattice", "--medium", str(medium), "--steps", "28"],
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=cap_address_space)
+    assert res.returncode == 0, res.stderr
 
 
 def test_render_spike(small_medium, tmp_path):
@@ -526,8 +601,8 @@ def test_closed_stdout_pipe_is_usage_error():
     ("reflect", "--cutoff", "2", "--merge-tol", "nan"),
     ("reflect", "--cutoff", "2", "--floor", "nan"),
     # `worst > nan` is false, so a nan tolerance would pass any deviation
-    ("oracle", "--cutoff", "2", "--corrupt", "--tol", "nan"),
-    ("lattice", "--corrupt", "--tol", "nan"),
+    ("oracle", "--cutoff", "2", "--tol", "nan"),
+    ("lattice", "--tol", "nan"),
     ("oracle", "--cutoff", "2", "--tol", "-1"),
     ("lattice", "--tol", "-1"),
 ], ids=["--merge-tol", "--floor", "oracle-tol", "lattice-tol",
@@ -610,13 +685,15 @@ def restore_gc():
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("args, code", [
     (("reflect", "--medium", "SMALL", "--cutoff", "2"), 0),
-    (("oracle", "--medium", "SMALL", "--cutoff", "4", "--corrupt"), 1),
+    (("oracle", "--medium", "SMALL", "--cutoff", "4"), 1),
     (("reflect", "--medium", "/nonexistent/med.taur", "--cutoff", "2"), 2),
     (("reflect", "--medium", "SMALL", "--cutoff", "2", "--no-such-flag"), "argparse"),
 ], ids=["ok", "verification", "usage", "argparse"])
-def test_main_leaves_collector_state_as_found(small_medium, capsys, restore_gc,
+def test_main_leaves_collector_state_as_found(small_medium, capsys, monkeypatch, restore_gc,
                                               enabled, args, code):
     argv = [small_medium if a == "SMALL" else a for a in args]
+    if code == 1:
+        _edit_arrivals(monkeypatch, _perturb_first)
     if enabled:
         gc.enable()
     else:
