@@ -35,7 +35,7 @@ import math
 from typing import Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
-from .transit import REFLECTION, TRANSMISSION, TransitVector, left_shift
+from .transit import REFLECTION, TRANSMISSION, TransitVector, branch_ranges, left_shift
 
 
 def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
@@ -169,19 +169,18 @@ def branch_summand(refls: Sequence[float], tv: TransitVector,
 
 def class_count(tv: TransitVector, b: Sequence[int]) -> int:
     """Exact number of scattering sequences in branch class (k, b), the
-    product of C(k_n, b_n) C(k~_n - u_n, b_n - u_n); DomainError unless b
-    is in k's branch set (``transit.branch_ranges``)."""
+    product of C(k_n, b_n) C(k~_n - u_n, b_n - u_n), where u_n..min(k_n,
+    k~_n) is ``transit.branch_ranges``' range n; DomainError unless b is
+    in k's branch set."""
     k = tv.k
     if len(b) != len(k):
         raise DomainError(f"length mismatch: {len(k)} vs {len(b)}")
-    refl = tv.kind == REFLECTION
     out = 1
-    for kn, ktn, bn in zip(k, left_shift(k), b):
+    for kn, ktn, r, bn in zip(k, left_shift(k), branch_ranges(tv), b):
         bn = int(bn)
-        un = 1 if refl and ktn else 0
-        if not un <= bn <= min(kn, ktn):
-            raise DomainError(f"b_n = {bn} outside {un}..{min(kn, ktn)}")
-        out *= math.comb(kn, bn) * math.comb(ktn - un, bn - un)
+        if bn not in r:
+            raise DomainError(f"b_n = {bn} outside {r.start}..{r.stop - 1}")
+        out *= math.comb(kn, bn) * math.comb(ktn - r.start, bn - r.start)
     return out
 
 

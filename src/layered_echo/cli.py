@@ -9,8 +9,7 @@ file or pipe, and when memory runs out.  The subcommands raise; ``main``
 alone turns a ``LayeredEchoError``, ``OSError`` or ``MemoryError`` into
 one ``error:`` line and exit 2.
 
-``oracle`` and ``lattice`` build no train: they read the closed form's
-rows from ``greens.arrivals`` as the search makes them.
+``oracle`` and ``lattice`` build no train: they read ``greens.arrivals``.
 
 A command runs with the cyclic garbage collector paused, and ``main``
 leaves it as it found it.  A build allocates a few objects per transit
@@ -141,6 +140,8 @@ def _cmd_oracle(args) -> int:
         closed = {parse_k(text): amp
                   for _, text, amp in greens.arrivals(medium, kind, args.cutoff)}
         sums, counts = oracle.tally(medium, kind, args.cutoff)
+        if args.corrupt and closed:
+            closed[next(iter(closed))] += 1e-3  # test hook: force a detectable deviation
         for k, amp in closed.items():
             brute = sums.get(k, 0.0)
             scale = max(abs(brute), abs(amp), 1e-300)
@@ -245,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, required=True)
     p.add_argument("--kind", choices=[REFLECTION, TRANSMISSION], default=None)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("lattice", help="check closed forms against the "
