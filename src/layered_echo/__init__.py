@@ -36,8 +36,6 @@ from .transit import (
     enumerate_reflection,
     enumerate_transmission,
     left_shift,
-    multi_binomial,
-    multi_binomial_exact,
 )
 from .amplitudes import (
     amplitude,
@@ -78,8 +76,6 @@ __all__ = [
     "left_shift",
     "make_medium",
     "merge_ties",
-    "multi_binomial",
-    "multi_binomial_exact",
     "read_medium",
     "reflection_amplitude",
     "reflection_green",

@@ -32,10 +32,11 @@ sqrt(1 - R_n^2) factor per index.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
-from .transit import REFLECTION, TRANSMISSION, TransitVector, branch_ranges, left_shift
+from .transit import (REFLECTION, TRANSMISSION, TransitVector, _Memo, branch_ranges,
+                      left_shift)
 
 
 def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
@@ -100,19 +101,10 @@ def _exact_sum(r: float, kn: int, ktn: int, un: int) -> float:
     return total * p ** (kn + ktn - 2 * hi) / q ** (kn + ktn)  # correctly rounded
 
 
-class LayerFactors(dict):
+def layer_factors(kind: str, refls: Sequence[float]) -> Mapping:
     """``layer_factor(kind, refls[n], k_n, k~_n)`` by key (n, k_n, k~_n),
     each evaluated once, on first lookup."""
-
-    def __init__(self, kind: str, refls: Sequence[float]):
-        super().__init__()
-        self.kind = kind
-        self.refls = refls
-
-    def __missing__(self, key: Tuple[int, int, int]) -> float:
-        n, kn, ktn = key
-        s = self[key] = layer_factor(self.kind, self.refls[n], kn, ktn)
-        return s
+    return _Memo(lambda key: layer_factor(kind, refls[key[0]], key[1], key[2]))
 
 
 def _amplitude(kind: str, refls: Sequence[float], tv: TransitVector) -> float:
@@ -167,21 +159,27 @@ def branch_summand(refls: Sequence[float], tv: TransitVector,
     return class_count(tv, b) * class_weight(refls, tv, b)
 
 
-def class_count(tv: TransitVector, b: Sequence[int]) -> int:
-    """Exact number of scattering sequences in branch class (k, b), the
-    product of C(k_n, b_n) C(k~_n - u_n, b_n - u_n), where u_n..min(k_n,
-    k~_n) is ``transit.branch_ranges``' range n; DomainError unless b is
-    in k's branch set."""
+def class_table(tv: TransitVector) -> Dict[Tuple[int, ...], int]:
+    """Exact number of scattering sequences in every branch class (k, b) of
+    k, by b in ``transit.branch_set`` order: the product over n of
+    C(k_n, b_n) C(k~_n - u_n, b_n - u_n), where u_n..min(k_n, k~_n) is
+    ``transit.branch_ranges``' range n."""
     k = tv.k
-    if len(b) != len(k):
-        raise DomainError(f"length mismatch: {len(k)} vs {len(b)}")
-    out = 1
-    for kn, ktn, r, bn in zip(k, left_shift(k), branch_ranges(tv), b):
-        bn = int(bn)
-        if bn not in r:
-            raise DomainError(f"b_n = {bn} outside {r.start}..{r.stop - 1}")
-        out *= math.comb(kn, bn) * math.comb(ktn - r.start, bn - r.start)
-    return out
+    table = {(): 1}
+    for kn, ktn, r in zip(k, left_shift(k), branch_ranges(tv)):
+        column = [(bn, math.comb(kn, bn) * math.comb(ktn - r.start, bn - r.start))
+                  for bn in r]
+        table = {b + (bn,): count * c for b, count in table.items() for bn, c in column}
+    return table
+
+
+def class_count(tv: TransitVector, b: Sequence[int]) -> int:
+    """``class_table(tv)[b]``; DomainError unless b is in k's branch set."""
+    b = tuple(map(int, b))
+    table = class_table(tv)
+    if b not in table:
+        raise DomainError(f"b = {b} is not in the branch set of k = {tv.k}")
+    return table[b]
 
 
 def class_weight(refls: Sequence[float], tv: TransitVector,

@@ -34,10 +34,10 @@ from itertools import chain
 from typing import Optional
 
 from . import goupillaud, greens, oracle
-from .amplitudes import class_count
+from .amplitudes import class_table
 from .errors import DomainError, LayeredEchoError
 from .medium import read_medium, write_medium
-from .transit import REFLECTION, TRANSMISSION, TransitVector, branch_set, parse_k
+from .transit import REFLECTION, TRANSMISSION, TransitVector, parse_k
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -156,10 +156,8 @@ def _cmd_oracle(args) -> int:
         # the walks found outside the formula's set against 0
         n_classes = len(counts)
         for k in chain(closed, lacking):
-            tv = TransitVector(k, kind)
-            for b in branch_set(tv):
-                mismatches += _class_mismatch(kind, k, b, counts.pop((k, b), 0),
-                                              class_count(tv, b))
+            for b, expected in class_table(TransitVector(k, kind)).items():
+                mismatches += _class_mismatch(kind, k, b, counts.pop((k, b), 0), expected)
         for (k, b), count in counts.items():
             mismatches += _class_mismatch(kind, k, b, count, 0)
         print(f"{kind}: vectors={len(closed)} classes={n_classes}", file=sys.stderr)

@@ -27,8 +27,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, TextIO, Tuple
 
 from . import transit
-# the amplitude functions stay importable from here, where callers look them up
-from .amplitudes import LayerFactors, reflection_amplitude, transmission_amplitude
+from .amplitudes import layer_factors
+# unused here; kept importable because bench/tracer.py patches
+# greens.reflection_amplitude and greens.transmission_amplitude by name
+from .amplitudes import reflection_amplitude, transmission_amplitude
 from .errors import DomainError, ParseError
 from .medium import Medium
 from .transit import REFLECTION, TRANSMISSION, format_k, parse_k
@@ -105,7 +107,7 @@ def arrivals(medium: Medium, kind: str, cutoff: float) -> Iterator[Tuple[float, 
     in increasing lexicographic order of k, as ``transit.terms`` yields them."""
     if not math.isfinite(cutoff):
         raise DomainError(f"cutoff must be finite, got {cutoff}")
-    return transit.terms(medium, kind, cutoff, LayerFactors(kind, medium.reflections))
+    return transit.terms(medium, kind, cutoff, layer_factors(kind, medium.reflections))
 
 
 def _build_train(medium: Medium, cutoff: float, kind: str,

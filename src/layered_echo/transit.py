@@ -1,4 +1,4 @@
-"""Transit count vectors: enumeration, branch sets and multi-index arithmetic.
+"""Transit count vectors: enumeration, branch sets and arrival times.
 
 A reflection transit vector k has k_0 = 1 and prefix support (k_n = 0
 forces k_{n+1} = 0); a transmission transit vector has k_0 = 0 with
@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
 from typing import Callable, Iterator, List, Mapping, Sequence, Tuple
 
-from .errors import DomainError, EnumerationLimitExceeded, InvalidTransitVector
+from .errors import EnumerationLimitExceeded, InvalidTransitVector
 from .medium import Medium
 
 REFLECTION = "reflection"
@@ -70,25 +69,6 @@ def left_shift(k: Sequence[int]) -> Tuple[int, ...]:
     """(k_1, ..., k_M, 0)."""
     k = tuple(k)
     return k[1:] + (0,)
-
-
-def multi_binomial_exact(x: Sequence[int], y: Sequence[int]) -> int:
-    """Product of entrywise binomial coefficients, exact integer."""
-    if len(x) != len(y):
-        raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
-    out = 1
-    for xn, yn in zip(x, y):
-        if yn < 0 or xn < 0:
-            raise DomainError(f"negative entries: C({xn}, {yn})")
-        if yn > xn:
-            raise DomainError(f"y exceeds x entrywise: C({xn}, {yn})")
-        out *= comb(xn, yn)
-    return out
-
-
-def multi_binomial(x: Sequence[int], y: Sequence[int]) -> float:
-    """Product of entrywise binomial coefficients as a float."""
-    return float(multi_binomial_exact(x, y))
 
 
 def branch_ranges(tv: TransitVector) -> List[range]:
@@ -135,15 +115,6 @@ def transmission_arrival(k: Sequence[int], medium: Medium) -> float:
     return t
 
 
-class _UnitFactors(dict):
-    """Every per-layer factor 1.0, for enumerations that drop the amplitude."""
-
-    def __missing__(self, key) -> float:
-        return 1.0
-
-
-_UNIT_FACTORS = _UnitFactors()
-
 # The most work one search may do: transit vectors for ``terms``, cell
 # updates for ``goupillaud.simulate``, walk states for ``oracle.tally`` and
 # walks for ``oracle.enumerate_sequences``.
@@ -180,7 +151,7 @@ def terms(medium: Medium, kind: str, cutoff: float,
     The arrival is ``reflection_arrival(k)`` or ``transmission_arrival(k)``;
     the comparison with the cutoff is inclusive, and nothing is yielded if
     the first arrival is already late.  ``factors[n, k_n, k_{n+1}]`` is the
-    per-layer factor s_n (see ``amplitudes.LayerFactors``); the search
+    per-layer factor s_n (see ``amplitudes.layer_factors``); the search
     multiplies s_n into a running product as soon as it fixes k_{n+1}, so
     the amplitude is the product of s_0 .. s_M in that order.  A reflection
     vector is emitted at the end of its support, where the remaining factors
@@ -261,11 +232,11 @@ def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVecto
     """Yield every reflection transit vector with <k, tau> <= cutoff, once each,
     in increasing lexicographic order of k."""
     return (TransitVector(parse_k(k), REFLECTION)
-            for _, k, _ in terms(medium, REFLECTION, cutoff, _UNIT_FACTORS))
+            for _, k, _ in terms(medium, REFLECTION, cutoff, _Memo(lambda key: 1.0)))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every transmission transit vector arriving by the cutoff, once
     each, in increasing lexicographic order of k."""
     return (TransitVector(parse_k(k), TRANSMISSION)
-            for _, k, _ in terms(medium, TRANSMISSION, cutoff, _UNIT_FACTORS))
+            for _, k, _ in terms(medium, TRANSMISSION, cutoff, _Memo(lambda key: 1.0)))

@@ -22,6 +22,7 @@ from layered_echo.amplitudes import (
     CANCEL_LIMIT,
     branch_summand,
     class_count,
+    class_table,
     class_weight,
     layer_factor,
 )
@@ -135,6 +136,29 @@ def test_amplitude_bounded_by_class_count_total():
         refls = [rng.uniform(-0.99, 0.99) for _ in range(m_layers + 1)]
         total = sum(class_count(tv, b) for b in branch_set(tv))
         assert abs(reflection_amplitude(refls, tv)) <= total
+
+
+def test_class_table_holds_every_class_in_branch_set_order():
+    rng = random.Random(12)
+    for _ in range(60):
+        m_layers = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            k = [1] + [rng.randint(0, 4) for _ in range(m_layers)]
+            for i in range(1, len(k)):
+                if k[i - 1] == 0:
+                    k[i] = 0
+            tv = rvec(*k)
+        else:
+            tv = tvec(0, *(rng.randint(0, 4) for _ in range(m_layers)))
+        k, kt = tv.k, left_shift(tv.k)
+        # u_n = min(1, k~_n) for reflection, 0 for transmission
+        u = [min(1, x) if tv.kind == REFLECTION else 0 for x in kt]
+        table = class_table(tv)
+        assert list(table) == branch_set(tv)
+        for b, count in table.items():
+            assert count == math.prod(math.comb(k[n], b[n]) * math.comb(kt[n] - u[n], b[n] - u[n])
+                                      for n in range(len(k)))
+            assert class_count(tv, b) == count
 
 
 @pytest.mark.parametrize("tv, b", [

@@ -232,6 +232,33 @@ def test_oracle_fails_when_the_walks_lack_a_class(tmp_path, capsys, monkeypatch)
                      "oracle 0 vs formula 2"]
 
 
+def test_oracle_fails_when_the_walks_overcount_a_class(tmp_path, capsys, monkeypatch):
+    def bump(counts):
+        counts[(1, 2, 2), (1, 1, 0)] += 1
+
+    code, out, lines = _oracle_with_edited_classes(tmp_path, capsys, monkeypatch, bump)
+    assert code == 1
+    assert "class count mismatches: 1\n" in out
+    assert lines == ["class count mismatch reflection k=(1, 2, 2) b=(1, 1, 0): "
+                     "oracle 3 vs formula 2"]
+
+
+def test_oracle_names_a_lacking_class_before_one_outside_the_set(tmp_path, capsys,
+                                                                  monkeypatch):
+    def drop_and_add(counts):
+        del counts[(1, 2, 2), (1, 1, 0)]
+        counts[(1, 0, 0), (5, 0, 0)] = 1
+
+    code, out, lines = _oracle_with_edited_classes(tmp_path, capsys, monkeypatch,
+                                                   drop_and_add)
+    assert code == 1
+    assert "class count mismatches: 2\n" in out
+    assert lines == ["class count mismatch reflection k=(1, 2, 2) b=(1, 1, 0): "
+                     "oracle 0 vs formula 2",
+                     "class count mismatch reflection k=(1, 0, 0) b=(5, 0, 0): "
+                     "oracle 1 vs formula 0"]
+
+
 def test_oracle_fails_on_a_class_outside_the_formulas_set(tmp_path, capsys,
                                                            monkeypatch):
     # no walk of k = (1, 0, 0) branches; the formula has no such class

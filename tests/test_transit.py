@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from layered_echo import (
-    DomainError,
     InvalidTransitVector,
     REFLECTION,
     TRANSMISSION,
@@ -15,11 +14,9 @@ from layered_echo import (
     enumerate_transmission,
     left_shift,
     make_medium,
-    multi_binomial,
-    multi_binomial_exact,
 )
 from layered_echo import greens, transit
-from layered_echo.amplitudes import LayerFactors
+from layered_echo.amplitudes import layer_factors
 from layered_echo.transit import (
     arrival_time,
     reflection_arrival,
@@ -39,23 +36,6 @@ def test_left_shift():
     assert left_shift((1, 2, 0)) == (2, 0, 0)
     assert left_shift((1, 1, 1)) == (1, 1, 0)
     assert left_shift((0, 0, 0, 0)) == (0, 0, 0, 0)
-
-
-def test_multi_binomial():
-    assert multi_binomial((1, 2), (1, 0)) == 1.0
-    assert multi_binomial((2, 2), (1, 1)) == 4.0
-    assert multi_binomial((3, 5, 2), (3, 5, 2)) == 1.0
-    assert multi_binomial_exact((100, 100), (50, 50)) == (
-        100891344545564193334812497256 ** 2)
-
-
-def test_multi_binomial_domain_errors():
-    with pytest.raises(DomainError):
-        multi_binomial((1, 2), (2, 0))
-    with pytest.raises(DomainError):
-        multi_binomial((1, 2), (1, -1))
-    with pytest.raises(DomainError):
-        multi_binomial((1, 2), (1,))
 
 
 def test_transit_vector_validation():
@@ -211,7 +191,7 @@ def test_terms_come_in_lexicographic_order_and_sort_on_time_alone(kind, taus, ta
     cutoff = first + span
     # the rows carry k as its text; compare the parsed int tuples
     rows = [(t, transit.parse_k(k), a)
-            for t, k, a in transit.terms(m, kind, cutoff, LayerFactors(kind, m.reflections))]
+            for t, k, a in transit.terms(m, kind, cutoff, layer_factors(kind, m.reflections))]
     ks = [k for _, k, _ in rows]
     assert all(a < b for a, b in zip(ks, ks[1:]))
     # the build sorts on time alone; that must be exactly the (time, k) sort
