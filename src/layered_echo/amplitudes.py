@@ -14,7 +14,8 @@ is a Cartesian product of per-index ranges, so the whole sum factorizes
 into a product over indices of small one-dimensional sums.  That is how
 it is evaluated here: per index n, sum the n-th factor over the admissible
 b_n, then multiply the per-index sums.  This costs O(sum of range lengths)
-per vector instead of the size of the full branch set.
+per vector instead of the size of the full branch set.  The sums and the
+class table read index n's binomials from one place, ``class_column``.
 
 The terms of a per-index sum alternate in sign, and at large transit
 counts their magnitudes (binomials of order 2^(k_n + k~_n) times powers of
@@ -32,10 +33,10 @@ sqrt(1 - R_n^2) factor per index.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
-from .transit import (REFLECTION, TRANSMISSION, TransitVector, _Memo, branch_ranges,
+from .transit import (REFLECTION, TRANSMISSION, TransitVector, _Memo, branch_range,
                       left_shift)
 
 
@@ -60,42 +61,49 @@ _FLOAT_K = 1000
 _FLOAT_TINY = 2.0 ** -1000
 
 
+def class_column(kind: str, kn: int, ktn: int) -> List[Tuple[int, int]]:
+    """(b_n, C(k_n, b_n) C(k~_n - u_n, b_n - u_n)) for every b_n in
+    ``transit.branch_range(kind, k_n, k~_n)``, whose start is u_n: the
+    number of ways level n of the tree can branch b_n times."""
+    r = branch_range(kind, kn, ktn)
+    return [(b, math.comb(kn, b) * math.comb(ktn - r.start, b - r.start)) for b in r]
+
+
 def layer_factor(kind: str, r: float, kn: int, ktn: int) -> float:
     """Per-index factor s_n(R_n, k_n, k~_n); the amplitude of k is their
     product over n = 0..M, multiplied in that order."""
     t2 = 1.0 - r * r
-    if kind == REFLECTION:
-        un, tn = min(1, ktn), 1.0
-    else:
-        un, tn = 0, math.sqrt(t2)
-    hi = min(kn, ktn)
+    tn = 1.0 if kind == REFLECTION else math.sqrt(t2)
+    # the bounds come from the range, not the column, which may be empty
+    bs = branch_range(kind, kn, ktn)
+    un, hi = bs.start, bs.stop - 1
+    column = class_column(kind, kn, ktn)
     if (kn + ktn <= _FLOAT_K
             and abs(r) ** max(0, kn + ktn - 2 * un) * t2 ** hi >= _FLOAT_TINY):
         s = size = 0.0
-        for b in range(un, hi + 1):
-            c = math.comb(kn, b) * math.comb(ktn - un, b - un)
+        for b, c in column:
             sign = -1.0 if (ktn - b) & 1 else 1.0
             term = c * sign * r ** (ktn - b + kn - b) * t2 ** b * tn
             s += term
             size += abs(term)
         if size <= CANCEL_LIMIT * abs(s):
             return s
-    return _exact_sum(r, kn, ktn, un) * tn
+    return _exact_sum(r, kn, ktn, un, hi, column) * tn
 
 
-def _exact_sum(r: float, kn: int, ktn: int, un: int) -> float:
+def _exact_sum(r: float, kn: int, ktn: int, un: int, hi: int,
+               column: List[Tuple[int, int]]) -> float:
     """The per-index sum without the factor T_n of transmission, computed
     exactly and rounded once.  R_n = p / q with q a power of two, and
     T_n^2 = (q^2 - p^2) / q^2, so every term is an integer over q^(k_n + k~_n):
-    the sum over b of C(k_n, b) C(k~_n - u_n, b - u_n) (-1)^(k~_n - b)
+    the sum over (b, c) in ``class_column`` of c (-1)^(k~_n - b)
     p^(k_n + k~_n - 2b) (q^2 - p^2)^b, taken by Horner's rule in p^2."""
     p, q = r.as_integer_ratio()
     p2 = p * p
     t2 = q * q - p2
-    hi = min(kn, ktn)
     total, t2b = 0, t2 ** un
-    for b in range(un, hi + 1):
-        term = math.comb(kn, b) * math.comb(ktn - un, b - un) * t2b
+    for b, c in column:
+        term = c * t2b
         total = total * p2 + (-term if (ktn - b) & 1 else term)
         t2b *= t2
     return total * p ** (kn + ktn - 2 * hi) / q ** (kn + ktn)  # correctly rounded
@@ -146,37 +154,22 @@ def kunetz_primary(refls: Sequence[float], n: int) -> float:
     return out
 
 
-def branch_summand(refls: Sequence[float], tv: TransitVector,
-                   b: Sequence[int]) -> float:
-    """One branch-class term of the amplitude sum (for k's kind).
-
-    The sign (-1)^(sum of k~ - b) is applied as an explicit parity factor
-    on the absolute powers of R.  Used by the oracle cross-checks: this is
-    the common weight of every scattering sequence in class (k, b), times
-    the class size.
-    """
-    _check_reflections(refls, tv.k)
-    return class_count(tv, b) * class_weight(refls, tv, b)
-
-
-def class_table(tv: TransitVector) -> Dict[Tuple[int, ...], int]:
+def class_table(kind: str, k: Sequence[int]) -> Dict[Tuple[int, ...], int]:
     """Exact number of scattering sequences in every branch class (k, b) of
-    k, by b in ``transit.branch_set`` order: the product over n of
-    C(k_n, b_n) C(k~_n - u_n, b_n - u_n), where u_n..min(k_n, k~_n) is
-    ``transit.branch_ranges``' range n."""
-    k = tv.k
+    an unvalidated k of this kind, by b in ``transit.branch_set`` order: the
+    product over n of ``class_column(kind, k_n, k~_n)``'s counts."""
     table = {(): 1}
-    for kn, ktn, r in zip(k, left_shift(k), branch_ranges(tv)):
-        column = [(bn, math.comb(kn, bn) * math.comb(ktn - r.start, bn - r.start))
-                  for bn in r]
+    for kn, ktn in zip(k, left_shift(k)):
+        column = class_column(kind, kn, ktn)
         table = {b + (bn,): count * c for b, count in table.items() for bn, c in column}
     return table
 
 
 def class_count(tv: TransitVector, b: Sequence[int]) -> int:
-    """``class_table(tv)[b]``; DomainError unless b is in k's branch set."""
+    """``class_table(tv.kind, tv.k)[b]``, the product of ``class_column``'s
+    counts; DomainError unless b is in k's branch set."""
     b = tuple(map(int, b))
-    table = class_table(tv)
+    table = class_table(tv.kind, tv.k)
     if b not in table:
         raise DomainError(f"b = {b} is not in the branch set of k = {tv.k}")
     return table[b]

@@ -37,7 +37,7 @@ from . import goupillaud, greens, oracle
 from .amplitudes import class_table
 from .errors import DomainError, LayeredEchoError
 from .medium import read_medium, write_medium
-from .transit import REFLECTION, TRANSMISSION, TransitVector, parse_k
+from .transit import REFLECTION, TRANSMISSION, parse_k
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -156,7 +156,7 @@ def _cmd_oracle(args) -> int:
         # the walks found outside the formula's set against 0
         n_classes = len(counts)
         for k in chain(closed, lacking):
-            for b, expected in class_table(TransitVector(k, kind)).items():
+            for b, expected in class_table(kind, k).items():
                 mismatches += _class_mismatch(kind, k, b, counts.pop((k, b), 0), expected)
         for (k, b), count in counts.items():
             mismatches += _class_mismatch(kind, k, b, count, 0)

@@ -71,18 +71,19 @@ def left_shift(k: Sequence[int]) -> Tuple[int, ...]:
     return k[1:] + (0,)
 
 
-def branch_ranges(tv: TransitVector) -> List[range]:
-    """Per-index ranges whose Cartesian product is the admissible branch set."""
-    k = tv.k
-    kt = left_shift(k)
-    if tv.kind == REFLECTION:
-        return [range(min(1, kt[n]), min(k[n], kt[n]) + 1) for n in range(len(k))]
-    return [range(0, min(k[n], kt[n]) + 1) for n in range(len(k))]
+def branch_range(kind: str, kn: int, ktn: int) -> range:
+    """The admissible b_n of index n, u_n..min(k_n, k~_n): u_n = min(1, k~_n)
+    for reflection and 0 for transmission.  Empty for a reflection index
+    with k_n = 0 < k~_n."""
+    return range(min(1, ktn) if kind == REFLECTION else 0, min(kn, ktn) + 1)
 
 
 def branch_set(tv: TransitVector) -> List[Tuple[int, ...]]:
-    """All admissible branch count vectors for k, in lexicographic order."""
-    return list(product(*branch_ranges(tv)))
+    """All admissible branch count vectors for k, in lexicographic order:
+    the Cartesian product of the ``branch_range`` of every index."""
+    k = tv.k
+    return list(product(*(branch_range(tv.kind, kn, ktn)
+                          for kn, ktn in zip(k, left_shift(k)))))
 
 
 def arrival_time(k: Sequence[int], taus: Sequence[float]) -> float:
