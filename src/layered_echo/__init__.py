@@ -4,8 +4,10 @@ The reflection and transmission impulse responses of a stack of
 homogeneous acoustic layers are finite trains of delta arrivals up to any
 cutoff time.  This package computes them exactly from closed-form
 combinatorial amplitude formulas, and ships two independent brute-force
-oracles (explicit scattering-sequence enumeration and a lattice recursion
-on the medium's travel-time quantum) for verification.
+oracles for verification: a walk oracle that sums the scattering walks
+by walk state (``oracle.tally``, with ``oracle.enumerate_sequences`` as
+its per-walk reference), and a lattice recursion on the medium's
+travel-time quantum.
 """
 
 from .errors import (

@@ -143,15 +143,6 @@ def stats(seq: ScatteringSequence, medium: Medium) -> PathStats:
     return PathStats(k, b, arrival, weight(seq, medium.reflections))
 
 
-def leg_time(seq: ScatteringSequence, medium: Medium) -> float:
-    """Arrival time summed leg by leg along the walk (independent of stats)."""
-    taus = medium.all_taus
-    t = 0.0
-    for a, b in zip(seq.depths, seq.depths[1:]):
-        t += 0.5 * taus[max(a, b)]
-    return t
-
-
 def enumerate_sequences(medium: Medium, kind: str,
                         cutoff: float) -> Iterator[ScatteringSequence]:
     """Yield every walk of the given kind arriving by the cutoff, once each.

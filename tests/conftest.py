@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +26,20 @@ REFLECT_CUTOFF = 5.38014   # = 4.38014 + 1.0
 TRANSMIT_CUTOFF = 3.69007  # = 2.19007 + 1.5
 REFLECT_TERMS = 19242
 TRANSMIT_TERMS = 35059
+
+
+def launch_cli(*args, env_extra=None, launch=subprocess.run, **kwargs):
+    """Start ``python -S -m layered_echo ARGS``: the one way the tests run the CLI.
+
+    ``-S`` drops site-packages, so every CLI test also checks that the
+    package needs the standard library alone.  ``launch`` is
+    ``subprocess.run`` or ``subprocess.Popen``; ``kwargs`` go to it.
+    """
+    env = {**os.environ, **(env_extra or {})}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+    return launch([sys.executable, "-S", "-m", "layered_echo", *args],
+                  env=env, text=True, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,6 @@ criterion is both visible in the log and red in the suite.
 
 import math
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -36,6 +34,7 @@ from conftest import (
     REFLECT_TERMS,
     TRANSMIT_CUTOFF,
     TRANSMIT_TERMS,
+    launch_cli,
 )
 
 
@@ -238,11 +237,8 @@ def test_criterion_09_support_locality(report):
 
 def test_criterion_10_cli_output_is_thread_invariant(report):
     def run(threads):
-        return subprocess.run(
-            [sys.executable, "-m", "layered_echo", "reflect",
-             "--medium", str(BENCH10), "--cutoff", str(REFLECT_CUTOFF),
-             "--threads", str(threads), "--with-k"],
-            capture_output=True, text=True)
+        return launch_cli("reflect", "--medium", str(BENCH10), "--cutoff", str(REFLECT_CUTOFF),
+                          "--threads", str(threads), "--with-k", capture_output=True)
 
     one, eight = run(1), run(8)
     ok = (one.returncode == 0 and eight.returncode == 0

@@ -2,23 +2,16 @@ import gc
 import hashlib
 import os
 import subprocess
-import sys
 
 import pytest
 
-from conftest import BENCH10
+from conftest import BENCH10, launch_cli
 from layered_echo import cli, greens, oracle, transit
 from layered_echo.errors import LayeredEchoError
 
-PKG = [sys.executable, "-m", "layered_echo"]
 
-
-def run(*args, env_extra=None, timeout=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(PKG + list(args), capture_output=True, text=True,
-                          env=env, timeout=timeout)
+def run(*args, **kwargs):
+    return launch_cli(*args, capture_output=True, **kwargs)
 
 
 @pytest.fixture
@@ -350,9 +343,8 @@ def test_lattice_memory_follows_the_slots(tmp_path):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    res = subprocess.run(PKG + ["lattice", "--medium", str(medium), "--steps", "28"],
-                         capture_output=True, text=True, timeout=120,
-                         preexec_fn=cap_address_space)
+    res = run("lattice", "--medium", str(medium), "--steps", "28", timeout=120,
+              preexec_fn=cap_address_space)
     assert res.returncode == 0, res.stderr
 
 
@@ -501,43 +493,38 @@ def test_reflect_non_ascii_medium_is_parse_error(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-# sha256 of the signals rendered over bench10 trains, as every-sample
-# convolution computed them: windowing must not move a bit
-@pytest.mark.parametrize("kind, cutoff, render_args, digest", [
-    ("reflect", "5.38014", ("--dt", "0.004", "--n", "300"),
-     "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"),
-    ("transmit", "3.69007", ("--t0", "0", "--dt", "0.004", "--n", "2000"),
-     "e9a8e10586e6d49531cdb92fc5592623e762f46ea87f186cfce06fcc5dbd5417"),
-])
-def test_render_bench10_ricker_signal_is_pinned(tmp_path, kind, cutoff, render_args, digest):
-    train = tmp_path / "train.csv"
-    res = run(kind, "--medium", str(BENCH10), "--cutoff", cutoff, "--out", str(train))
+# cutoff, render window and sha256 of the ricker:25 signals rendered over
+# bench10 trains, as every-sample convolution computed them: windowing must
+# not move a bit
+RENDER_PINS = {
+    "reflect": ("5.38014", ("--dt", "0.004", "--n", "300"),
+                "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"),
+    "transmit": ("3.69007", ("--t0", "0", "--dt", "0.004", "--n", "2000"),
+                 "e9a8e10586e6d49531cdb92fc5592623e762f46ea87f186cfce06fcc5dbd5417"),
+}
+
+
+# the with-k train is the benchmark's render input: its k column is checked,
+# and is not rendered
+@pytest.mark.parametrize("source", ["file", "file-with-k", "pipe-with-k"])
+@pytest.mark.parametrize("kind", sorted(RENDER_PINS))
+def test_render_bench10_ricker_signal_is_pinned(tmp_path, kind, source):
+    cutoff, render_args, digest = RENDER_PINS[kind]
+    train_args = [kind, "--medium", str(BENCH10), "--cutoff", cutoff]
+    if source != "file":
+        train_args.append("--with-k")
+    if source == "pipe-with-k":
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin")
+        res = run(*train_args)
+        train, stdin = "/dev/stdin", res.stdout
+    else:
+        train, stdin = str(tmp_path / "train.csv"), None
+        res = run(*train_args, "--out", train)
     assert res.returncode == 0
-    res = run("render", "--train", str(train), "--wavelet", "ricker:25", *render_args)
+    res = run("render", "--train", train, "--wavelet", "ricker:25", *render_args, input=stdin)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
-
-
-def _render_with_k_digest(tmp_path, kind, cutoff, *render_args):
-    train = tmp_path / "train.csv"
-    res = run(kind, "--medium", str(BENCH10), "--cutoff", cutoff, "--with-k",
-              "--out", str(train))
-    assert res.returncode == 0
-    res = run("render", "--train", str(train), "--wavelet", "ricker:25", *render_args)
-    assert res.returncode == 0
-    return hashlib.sha256(res.stdout.encode("ascii")).hexdigest()
-
-
-def test_render_bench10_with_k_train_is_pinned(tmp_path):
-    # the benchmark's render input: the k column is checked, and is not rendered
-    assert _render_with_k_digest(tmp_path, "reflect", "5.38014", "--dt", "0.004", "--n", "300") \
-        == "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"
-
-
-def test_render_bench10_transmission_with_k_train_is_pinned(tmp_path):
-    assert _render_with_k_digest(tmp_path, "transmit", "3.69007",
-                                 "--t0", "0", "--dt", "0.004", "--n", "2000") \
-        == "e9a8e10586e6d49531cdb92fc5592623e762f46ea87f186cfce06fcc5dbd5417"
 
 
 @pytest.mark.parametrize("text", ["1.0,0.5\n2.0,0.25\n", ""], ids=["no-header", "empty"])
@@ -636,9 +623,8 @@ def test_unreadable_input_or_unwritable_out_is_usage_error(tmp_path, case):
 def test_closed_stdout_pipe_is_usage_error():
     # about 1.3 MB of CSV, far more than a pipe holds: the writer is still
     # writing when the reader goes
-    proc = subprocess.Popen(PKG + ["transmit", "--medium", str(BENCH10),
-                                   "--cutoff", "3.69007"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc = launch_cli("transmit", "--medium", str(BENCH10), "--cutoff", "3.69007",
+                      launch=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == "time,amplitude\n"
     proc.stdout.close()
     stderr = proc.stderr.read()
@@ -828,14 +814,13 @@ def test_main_builds_its_parser_once_and_a_namespace_per_call(tmp_path, capsys, 
     monkeypatch.setattr(cli, "build_parser", build_parser)
     cli._parser.cache_clear()
     request.addfinalizer(cli._parser.cache_clear)  # drop the spying parser
+    cutoff, render_args, digest = RENDER_PINS["reflect"]
     train = str(tmp_path / "train.csv")
-    assert cli.main(["reflect", "--medium", str(BENCH10), "--cutoff", "5.38014", "--with-k",
+    assert cli.main(["reflect", "--medium", str(BENCH10), "--cutoff", cutoff, "--with-k",
                      "--out", train]) == 0
-    assert cli.main(["render", "--train", train, "--wavelet", "ricker:25",
-                     "--dt", "0.004", "--n", "300"]) == 0
+    assert cli.main(["render", "--train", train, "--wavelet", "ricker:25", *render_args]) == 0
     assert len(built) == 1
     assert seen[0].with_k and seen[0].kind == transit.REFLECTION
     assert sorted(vars(seen[1])) == ["command", "dt", "func", "n", "out", "t0", "train",
                                      "wavelet"]
-    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == \
-        "d257095f7cc72f85ec5017e0a002b60fd3f3584600b22cebf65a2e4928a445e3"
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
