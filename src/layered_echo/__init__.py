@@ -46,7 +46,6 @@ from .amplitudes import (
     transmission_amplitude,
 )
 from .greens import (
-    PulseTerm,
     PulseTrain,
     SampledSignal,
     convolve,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Medium",
     "PhysicalProfile",
-    "PulseTerm",
     "PulseTrain",
     "REFLECTION",
     "SampledSignal",

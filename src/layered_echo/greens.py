@@ -6,14 +6,14 @@ tie break.  Coincident arrivals are NOT merged by default -- the train is
 indexed per transit vector -- merging is an explicit post-pass.
 
 A train is a frozen dataclass of three parallel tuples, ``times``,
-``amps`` and ``k_text``; the builders, ``merge_ties``, ``read_train_csv``,
-``write_train_csv`` and ``convolve`` work on those columns.  A transit
-vector is kept as its CSV text, "1|3|0" (``transit.format_k``), which the
-search builds once per vector and ``write_train_csv`` writes as it is.
-The ``ks`` tuples and the ``PulseTerm`` objects of ``PulseTrain.terms``
-are made only when those properties are read, anew each time.  The
-transit vectors are provenance: ``read_train_csv`` checks a k column but
-keeps none of it, so every term it reads has the text "" and k = ().
+``amps`` and ``k_text``, and is built from those columns alone; the
+builders, ``merge_ties``, ``read_train_csv``, ``write_train_csv`` and
+``convolve`` work on them.  A transit vector is kept as its CSV text,
+"1|3|0" (``transit.format_k``), which the search builds once per vector
+and ``write_train_csv`` writes as it is.  The ``ks`` tuples are made only
+when that property is read, anew each time.  The transit vectors are
+provenance: ``read_train_csv`` checks a k column but keeps none of it,
+so every term it reads has the text "" and k = ().
 
 A train build evaluates each distinct per-layer factor once.
 """
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, TextIO, Tuple
+from typing import Callable, Iterator, List, TextIO, Tuple
 
 from . import transit
 from .amplitudes import layer_factors
@@ -33,16 +33,7 @@ from .amplitudes import layer_factors
 from .amplitudes import reflection_amplitude, transmission_amplitude
 from .errors import DomainError, ParseError
 from .medium import Medium
-from .transit import REFLECTION, TRANSMISSION, format_k, parse_k
-
-
-@dataclass(frozen=True)
-class PulseTerm:
-    """One delta arrival: time, amplitude and the transit vector it came from."""
-
-    time: float
-    amplitude: float
-    k: Tuple[int, ...]
+from .transit import REFLECTION, TRANSMISSION, parse_k
 
 
 @dataclass(frozen=True, repr=False)
@@ -51,9 +42,9 @@ class PulseTrain:
     ``times``, ``amps`` and ``k_text`` (term i is times[i], amps[i] and
     the transit vector whose text is k_text[i], "" for a term without k).
 
-    ``PulseTrain.from_terms(kind, cutoff, terms)`` builds the columns from
-    ``PulseTerm``s, and ``terms`` makes them back from the columns.  Trains
-    are immutable; two are equal when kind, cutoff and every column are.
+    Each column is stored as a tuple (a tuple passed in is kept as it is),
+    and columns of different lengths raise DomainError.  Trains are
+    immutable; two are equal when kind, cutoff and every column are.
     """
 
     kind: str
@@ -62,23 +53,17 @@ class PulseTrain:
     amps: Tuple[float, ...]
     k_text: Tuple[str, ...]
 
-    @classmethod
-    def from_terms(cls, kind: str, cutoff: float,
-                   terms: Iterable[PulseTerm]) -> "PulseTrain":
-        terms = tuple(terms)
-        return cls(kind, cutoff, tuple([t.time for t in terms]),
-                   tuple([t.amplitude for t in terms]),
-                   tuple([format_k(t.k) for t in terms]))
+    def __post_init__(self):
+        for name in ("times", "amps", "k_text"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.times) == len(self.amps) == len(self.k_text):
+            raise DomainError(f"train columns differ in length: {len(self.times)} times, "
+                              f"{len(self.amps)} amps, {len(self.k_text)} k_text")
 
     @property
     def ks(self) -> Tuple[Tuple[int, ...], ...]:
         """The transit vectors as int tuples, parsed anew on each access."""
         return tuple(map(parse_k, self.k_text))
-
-    @property
-    def terms(self) -> Tuple[PulseTerm, ...]:
-        """The train as ``PulseTerm``s, made anew on each access."""
-        return tuple(map(PulseTerm, self.times, self.amps, self.ks))
 
     def __repr__(self) -> str:
         return (f"PulseTrain(kind={self.kind!r}, cutoff={self.cutoff!r}, "
@@ -180,8 +165,8 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
             m_amps.append(total)
             # smallest as int tuples: as strings, "1|10|0" < "1|2|1"
             m_texts.append(min(texts[lo:hi], key=parse_k))
-    m_times = tuple([times[lo] for lo in starts[:-1]])
-    return PulseTrain(train.kind, train.cutoff, m_times, tuple(m_amps), tuple(m_texts))
+    m_times = [times[lo] for lo in starts[:-1]]
+    return PulseTrain(train.kind, train.cutoff, m_times, m_amps, m_texts)
 
 
 def ricker(peak_freq: float) -> Callable[[float], float]:
@@ -376,9 +361,9 @@ def _parse_columns(lines: List[str], width: int):
     return times, amps
 
 
-def read_train_csv(stream: TextIO, kind: str = REFLECTION,
-                   cutoff: float = math.inf) -> PulseTrain:
-    """Parse a train CSV from write_train_csv (k optional).
+def read_train_csv(stream: TextIO) -> PulseTrain:
+    """Parse a train CSV from write_train_csv (k optional) into a
+    reflection train with cutoff inf: the CSV holds neither.
 
     The first line, stripped, must be ``time,amplitude`` or
     ``time,amplitude,k``, and every non-blank row must have as many fields
@@ -415,7 +400,7 @@ def read_train_csv(stream: TextIO, kind: str = REFLECTION,
     except UnicodeDecodeError as exc:
         where = getattr(stream, "name", "train CSV")
         raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None
-    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), ("",) * len(times))
+    return PulseTrain(REFLECTION, math.inf, times, amps, ("",) * len(times))
 
 
 def write_signal_csv(signal: SampledSignal, stream: TextIO) -> None:

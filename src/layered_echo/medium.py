@@ -30,6 +30,7 @@ round trip reproduces the exact float64 values.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, TextIO, Union
 
@@ -194,21 +195,17 @@ def _parse_float(tok: str, line_no: int) -> float:
         raise ParseError(f"not a number: {tok!r}", line_no) from None
 
 
-def read_medium(source: Union[str, TextIO], fmt: str = None) -> Medium:
-    """Parse a Medium from text, a stream, or a file path.
-
-    ``fmt`` may be "taur" or "phys"; by default it is inferred from the
-    header line.  Strings containing a newline are treated as file
-    content, other strings as paths.
+def read_medium(source: Union[str, os.PathLike, TextIO]) -> Medium:
+    """Parse a Medium from a file path (``str`` or ``os.PathLike``, passed
+    to ``open()``) or a text stream.  The header line names the format,
+    "taur" or "phys".
     """
     try:
         if hasattr(source, "read"):
             text = source.read()
-        elif isinstance(source, str) and "\n" not in source:
+        else:
             with open(source, "r", encoding="ascii") as fh:
                 text = fh.read()
-        else:
-            text = source
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ParseError(f"non-ASCII byte {byte:#04x}",
@@ -221,8 +218,6 @@ def read_medium(source: Union[str, TextIO], fmt: str = None) -> Medium:
     if len(header) != 3 or header[1] != "v1" or not header[2].startswith("M="):
         raise ParseError(f"bad header: {' '.join(header)!r}", line_no)
     kind = header[0]
-    if fmt is not None and fmt != kind:
-        raise ParseError(f"expected {fmt!r} file, found {kind!r} header", line_no)
     try:
         m = int(header[2][2:])
     except ValueError:

@@ -65,9 +65,8 @@ def test_cell_updates_are_held_to_the_term_limit(monkeypatch):
 
 def _train_on_grid(train, times, period):
     out = [0.0] * len(times)
-    for term in train.terms:
-        j = round((term.time - times[0]) / period)
-        out[j] += term.amplitude
+    for t, a in zip(train.times, train.amps):
+        out[round((t - times[0]) / period)] += a
     return out
 
 

@@ -13,7 +13,6 @@ from conftest import REFLECT_CUTOFF, TRANSMIT_CUTOFF
 from layered_echo import (
     DomainError,
     EnumerationLimitExceeded,
-    PulseTerm,
     PulseTrain,
     REFLECTION,
     convolve,
@@ -43,19 +42,19 @@ from layered_echo.transit import (
 def test_m1_train_values():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     train = reflection_green(m, 2.0)
-    assert [(t.time, t.amplitude) for t in train.terms] == [(1.0, 0.5), (2.0, 0.375)]
+    assert list(zip(train.times, train.amps)) == [(1.0, 0.5), (2.0, 0.375)]
 
 
 def test_first_term_invariants():
     m = make_medium((0.7, 1.3, 0.4), 0.2, (0.3, -0.5, 0.8))
     r = reflection_green(m, 5.0)
-    assert r.terms[0].time == 0.7
-    assert r.terms[0].amplitude == 0.3
+    assert r.times[0] == 0.7
+    assert r.amps[0] == 0.3
     t = transmission_green(m, 5.0)
     half = 0.5 * (0.7 + 1.3 + 0.4 + 0.2)
-    assert t.terms[0].time == pytest.approx(half, abs=0)
+    assert t.times[0] == pytest.approx(half, abs=0)
     direct = math.prod(math.sqrt(1 - x * x) for x in m.reflections)
-    assert t.terms[0].amplitude == pytest.approx(direct, rel=1e-15)
+    assert t.amps[0] == pytest.approx(direct, rel=1e-15)
 
 
 def test_term_count_matches_enumeration():
@@ -67,16 +66,18 @@ def test_term_count_matches_enumeration():
 def test_terms_sorted_with_lex_tiebreak():
     m = make_medium((1.0, 1.0, 2.0), 0.0, (0.3, 0.2, 0.1))
     train = reflection_green(m, 8.0)
-    keys = [(t.time, t.k) for t in train.terms]
+    keys = list(zip(train.times, train.ks))
     assert keys == sorted(keys)
-    assert all(t.time <= train.cutoff for t in train.terms)
+    assert all(t <= train.cutoff for t in train.times)
 
 
 def test_prefix_property():
     m = make_medium((0.6, 0.25, 1.1), 0.0, (0.4, -0.3, 0.2))
     small = reflection_green(m, 2.5)
     large = reflection_green(m, 4.0)
-    assert large.terms[:len(small.terms)] == small.terms
+    n = len(small)
+    assert (large.times[:n], large.amps[:n], large.k_text[:n]) == \
+           (small.times, small.amps, small.k_text)
 
 
 def test_amplitude_floor():
@@ -84,7 +85,7 @@ def test_amplitude_floor():
     full = reflection_green(m, 6.0)
     floored = reflection_green(m, 6.0, amplitude_floor=0.1)
     assert len(floored) < len(full)
-    assert all(abs(t.amplitude) >= 0.1 for t in floored.terms)
+    assert all(abs(a) >= 0.1 for a in floored.amps)
 
 
 def test_nan_floor_and_merge_tolerance_are_rejected():
@@ -109,11 +110,11 @@ def test_builds_leave_no_reference_cycles():
         write_train_csv(trains[1], buf, with_k=True)
         buf.seek(0)
         trains += [read_train_csv(buf), merge_ties(trains[0], 1e-9)]
-        terms = trains[2].terms
+        ks = trains[0].ks
         sums, counts = tally(m, REFLECTION, 2.6)
         # the commensurate times merge into few terms; they are not counted
-        sizes = [len(t) for t in trains[:3]] + [len(terms), sum(counts.values())]
-        del trains, buf, terms, sums, counts
+        sizes = [len(t) for t in trains[:3]] + [len(ks), sum(counts.values())]
+        del trains, buf, ks, sums, counts
         freed = gc.collect()
     finally:
         gc.enable()
@@ -125,26 +126,6 @@ def _csv(train, with_k):
     buf = io.StringIO()
     write_train_csv(train, buf, with_k=with_k)
     return buf.getvalue()
-
-
-@pytest.mark.parametrize("build", [reflection_green, transmission_green])
-def test_train_from_terms_matches_the_built_train(build):
-    # commensurate travel times, so merge_ties has ties to combine
-    m = make_medium((0.3, 0.2, 0.25, 0.4), 0.1, (0.4, -0.3, 0.2, 0.5))
-    built = build(m, 4.5)
-    again = PulseTrain.from_terms(built.kind, built.cutoff, built.terms)
-    assert again == built and hash(again) == hash(built)
-    assert len(again) == len(built) > 100
-    assert again.amps == built.amps
-    for with_k in (False, True):
-        assert _csv(again, with_k) == _csv(built, with_k)
-    merged = merge_ties(built)
-    assert len(merged) < len(built)
-    assert merge_ties(again) == merged
-    for wavelet in ("spike", ricker(25.0)):
-        got = convolve(again, wavelet, 0.5, 0.01, 900).samples
-        want = convolve(built, wavelet, 0.5, 0.01, 900).samples
-        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def _f_string_csv(train, with_k):
@@ -166,10 +147,9 @@ def test_writer_matches_the_f_string_writer(n):
     values = odd + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-40, 40)
                     for _ in range(n)]
     ks = [(), (7,), (1, 0), (0, 255, 256), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
-    terms = [PulseTerm(values[i], values[-1 - i],
-                       ks[i % len(ks)] + tuple(rng.randrange(300) for _ in range(i % 4)))
+    texts = [format_k(ks[i % len(ks)] + tuple(rng.randrange(300) for _ in range(i % 4)))
              for i in range(n)]
-    train = PulseTrain.from_terms(REFLECTION, 1.0, terms)
+    train = PulseTrain(REFLECTION, 1.0, values[:n], values[:-n - 1:-1], texts)
     for with_k in (False, True):
         assert _csv(train, with_k) == _f_string_csv(train, with_k)
     # the signal writer, as it was with one f-string per row
@@ -182,7 +162,7 @@ def test_writer_matches_the_f_string_writer(n):
 
 def test_empty_train_writes_only_the_header():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
-    for train in (PulseTrain.from_terms(REFLECTION, 2.0, ()), reflection_green(m, 0.5)):
+    for train in (PulseTrain(REFLECTION, 2.0, (), (), ()), reflection_green(m, 0.5)):
         assert len(train) == 0
         assert _csv(train, False) == "time,amplitude\n"
         assert _csv(train, True) == "time,amplitude,k\n"
@@ -203,25 +183,27 @@ def test_train_is_a_value(bench10):
     assert repr(train) == f"PulseTrain(kind='reflection', cutoff=3.0, <{len(train)} terms>)"
 
 
-def test_no_pulse_term_is_made_until_terms_is_read(monkeypatch):
-    m = make_medium((1.0, 1.0, 2.0), 0.0, (0.3, -0.4, 0.5))
+def test_columns_of_different_lengths_are_refused():
+    # one row short in one column: the writer, convolve and merge_ties
+    # would each see as many terms as their shortest column holds
+    for columns in [((0.5, 0.6), (0.25,), ("1|0", "1|1")),
+                    ((0.5,), (0.25, 0.5), ("1|0",)),
+                    ((0.5, 0.6), (0.25, 0.5), ("1|0",)),
+                    ((), (), ("1|0",))]:
+        with pytest.raises(DomainError, match="train columns differ in length"):
+            PulseTrain(REFLECTION, 1.0, *columns)
 
-    def refuse(*args):
-        raise AssertionError("a PulseTerm was made")
 
-    monkeypatch.setattr(greens, "PulseTerm", refuse)
-    built = reflection_green(m, 6.0)
-    transmission_green(m, 6.0, amplitude_floor=1e-3)
-    merged = merge_ties(built)
-    buf = io.StringIO()
-    write_train_csv(merged, buf, with_k=True)
-    buf.seek(0)
-    read = read_train_csv(buf, REFLECTION, 6.0)
-    convolve(read, "spike", 0.0, 0.1, 60)
-    assert (read.times, read.amps) == (merged.times, merged.amps)
-    assert read.ks == ((),) * len(merged)
-    monkeypatch.undo()
-    assert read.terms[0] == PulseTerm(read.times[0], read.amps[0], read.ks[0])
+def test_columns_are_stored_as_tuples():
+    times, amps, texts = (0.5, 0.6), (0.25, -0.125), ("1|0", "1|1")
+    built = PulseTrain(REFLECTION, 1.0, times, amps, texts)
+    # a tuple is kept as it is: a build copies no column
+    assert built.times is times and built.amps is amps and built.k_text is texts
+    listed = PulseTrain(REFLECTION, 1.0, list(times), list(amps), list(texts))
+    assert (type(listed.times), type(listed.amps), type(listed.k_text)) == (tuple,) * 3
+    assert listed == built and hash(listed) == hash(built)
+    # any iterable will do, and is read once
+    assert PulseTrain(REFLECTION, 1.0, iter(times), iter(amps), iter(texts)) == built
 
 
 def test_huge_cutoff_is_refused_at_once(bench10):
@@ -261,9 +243,9 @@ def test_merge_groups_are_anchored_at_their_first_time():
     # each step is within 1e-6 of the last, but the third term is 1.2e-6 past
     # the first: chaining would merge all three
     times = (1.0, 1.0 + 0.6e-6, 1.0 + 1.2e-6)
-    terms = tuple(PulseTerm(t, 1.0, (1, i)) for i, t in enumerate(times))
-    merged = merge_ties(PulseTrain.from_terms(REFLECTION, 2.0, terms), 1e-6)
-    assert [(t.time, t.amplitude, t.k) for t in merged.terms] == [
+    train = PulseTrain(REFLECTION, 2.0, times, (1.0,) * 3, ("1|0", "1|1", "1|2"))
+    merged = merge_ties(train, 1e-6)
+    assert list(zip(merged.times, merged.amps, merged.ks)) == [
         (1.0, 2.0, (1, 0)), (times[2], 1.0, (1, 2))]
 
 
@@ -277,26 +259,23 @@ def test_merge_commensurate_arrivals():
     # tau = (1, 1, 2): transit vectors (1,1,1) and (1,3,0) both arrive at 4
     m = make_medium((1.0, 1.0, 2.0), 0.0, (0.3, -0.4, 0.5))
     train = reflection_green(m, 4.0)
-    at4 = [t for t in train.terms if t.time == 4.0]
-    assert {t.k for t in at4} == {(1, 1, 1), (1, 3, 0)}
+    at4 = [(a, k) for t, a, k in zip(train.times, train.amps, train.ks) if t == 4.0]
+    assert {k for _, k in at4} == {(1, 1, 1), (1, 3, 0)}
     merged = merge_ties(train, 1e-12)
-    merged_at4 = [t for t in merged.terms if t.time == 4.0]
+    merged_at4 = [(a, k) for t, a, k in zip(merged.times, merged.amps, merged.ks) if t == 4.0]
     assert len(merged_at4) == 1
-    assert merged_at4[0].amplitude == pytest.approx(
-        sum(t.amplitude for t in at4), rel=1e-15)
-    assert merged_at4[0].k == (1, 1, 1)
+    assert merged_at4[0][0] == pytest.approx(sum(a for a, _ in at4), rel=1e-15)
+    assert merged_at4[0][1] == (1, 1, 1)
     # idempotent
     assert merge_ties(merged, 1e-12) == merged
 
 
 def test_merge_zero_tol_only_bit_identical():
-    terms = (PulseTerm(1.0, 0.5, (1, 0)),
-             PulseTerm(1.0, 0.25, (1, 1)),
-             PulseTerm(1.0 + 1e-15, 0.25, (1, 2)))
-    train = PulseTrain.from_terms(REFLECTION, 2.0, terms)
+    train = PulseTrain(REFLECTION, 2.0, (1.0, 1.0, 1.0 + 1e-15), (0.5, 0.25, 0.25),
+                       ("1|0", "1|1", "1|2"))
     merged = merge_ties(train, 0.0)
     assert len(merged) == 2
-    assert merged.terms[0].amplitude == 0.75
+    assert merged.amps[0] == 0.75
 
 
 def test_merged_train_matches_oracle_arrival_groups():
@@ -311,28 +290,28 @@ def test_merged_train_matches_oracle_arrival_groups():
             st = stats(seq, m)
             slot = round(st.arrival)
             groups[slot] = groups.get(slot, 0.0) + st.weight
-        got = {round(t.time): t.amplitude for t in merged.terms}
+        got = {round(t): a for t, a in zip(merged.times, merged.amps)}
         assert set(got) == set(groups)
         for slot in groups:
             assert got[slot] == pytest.approx(groups[slot], rel=1e-10, abs=1e-14)
 
 
 def test_convolve_spike():
-    train = PulseTrain.from_terms(REFLECTION, 2.0, (PulseTerm(1.0, 1.0, (1,)),))
+    train = PulseTrain(REFLECTION, 2.0, (1.0,), (1.0,), ("1",))
     sig = convolve(train, "spike", 0.0, 0.5, 5)
     assert sig.samples == (0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_convolve_spike_skips_terms_whose_bin_index_overflows():
-    terms = (PulseTerm(-1.5e308, 4.0, (1, 2)), PulseTerm(1.0, 1.0, (1,)),
-             PulseTerm(1.5e308, 2.0, (1, 1)))
+    train = PulseTrain(REFLECTION, 2e308, (-1.5e308, 1.0, 1.5e308), (4.0, 1.0, 2.0),
+                       ("1|2", "1", "1|1"))
     # (time - t0) / dt is -inf and +inf for the outer terms
-    sig = convolve(PulseTrain.from_terms(REFLECTION, 2e308, terms), "spike", 0.0, 0.5, 4)
+    sig = convolve(train, "spike", 0.0, 0.5, 4)
     assert sig.samples == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_convolve_empty_train():
-    train = PulseTrain.from_terms(REFLECTION, 2.0, ())
+    train = PulseTrain(REFLECTION, 2.0, (), (), ())
     sig = convolve(train, "spike", 0.0, 0.5, 4)
     assert sig.samples == (0.0, 0.0, 0.0, 0.0)
 
@@ -340,7 +319,7 @@ def test_convolve_empty_train():
 def test_ricker_unit_peak():
     w = ricker(25.0)
     assert w(0.0) == 1.0
-    train = PulseTrain.from_terms(REFLECTION, 2.0, (PulseTerm(0.8, -0.4, (1,)),))
+    train = PulseTrain(REFLECTION, 2.0, (0.8,), (-0.4,), ("1",))
     sig = convolve(train, w, 0.8, 0.01, 1)
     assert sig.samples[0] == pytest.approx(-0.4, abs=0)
 
@@ -351,8 +330,8 @@ def _convolve_every_sample(train, wavelet, t0, dt, n_samples):
     for i in range(n_samples):
         t = t0 + i * dt
         acc = 0.0
-        for term in train.terms:
-            acc += term.amplitude * wavelet(t - term.time)
+        for tj, aj in zip(train.times, train.amps):
+            acc += aj * wavelet(t - tj)
         samples.append(acc)
     return samples
 
@@ -377,9 +356,8 @@ def _trains_and_grids(draw):
     times += draw(st.lists(st.sampled_from(times), max_size=4)) if times else []
     times = draw(st.permutations(times))
     amps = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(times), max_size=len(times)))
-    terms = tuple(PulseTerm(t, a, (1,)) for t, a in zip(times, amps))
     wavelet = draw(st.sampled_from([w, lambda t: w(t)]))  # the lambda has no radius
-    return PulseTrain.from_terms(REFLECTION, 1.0, terms), wavelet, t0, dt, n
+    return PulseTrain(REFLECTION, 1.0, times, amps, ("1",) * len(times)), wavelet, t0, dt, n
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,9 +373,7 @@ def test_windowed_convolve_exact_when_rounding_exceeds_the_radius():
     # at t0 = 1e20 a step of dt = 1 rounds away: thousands of samples share
     # the term's time, far more than the one-sample margin around it
     w = ricker(25.0)
-    train = PulseTrain.from_terms(REFLECTION, 2e20,
-                                  (PulseTerm(1e20, 0.5, (1,)),
-                                   PulseTerm(1e20 + 16384.0, -0.25, (1,))))
+    train = PulseTrain(REFLECTION, 2e20, (1e20, 1e20 + 16384.0), (0.5, -0.25), ("1", "1"))
     got = convolve(train, w, 1e20, 1.0, 20000).samples
     want = _convolve_every_sample(train, w, 1e20, 1.0, 20000)
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -417,8 +393,8 @@ def test_convolve_far_edge_cut_is_exact(t0, dt, n, cut, has_radius):
     assert (greens._window(t_far, t0, dt, n, w.radius) == (n, n)) == cut
     times = [t0 + (n // 2) * dt, math.nextafter(t_far, -math.inf), t_far,
              math.nextafter(t_far, math.inf), t_far + 1.0, t0 - 1.0]
-    terms = [PulseTerm(t, 0.5 - 0.125 * j, (1,)) for j, t in enumerate(times)]
-    train = PulseTrain.from_terms(REFLECTION, 2.0 * t_far, terms)
+    amps = [0.5 - 0.125 * j for j in range(len(times))]
+    train = PulseTrain(REFLECTION, 2.0 * t_far, times, amps, ("1",) * len(times))
     wavelet = w if has_radius else (lambda t: w(t))
     got = convolve(train, wavelet, t0, dt, n).samples
     want = _convolve_every_sample(train, wavelet, t0, dt, n)
@@ -448,11 +424,11 @@ def test_train_csv_round_trip():
     buf = io.StringIO()
     write_train_csv(train, buf, with_k=True)
     buf.seek(0)
-    again = read_train_csv(buf, REFLECTION, 4.0)
-    # the k column is checked and dropped
-    assert [(t.time, t.amplitude) for t in again.terms] == \
-           [(t.time, t.amplitude) for t in train.terms]
+    again = read_train_csv(buf)
+    # the k column is checked and dropped; the CSV holds no kind or cutoff
+    assert (again.times, again.amps) == (train.times, train.amps)
     assert again.ks == ((),) * len(train)
+    assert (again.kind, again.cutoff) == (REFLECTION, math.inf)
 
 
 def test_train_csv_header_without_k():
@@ -464,7 +440,7 @@ def test_train_csv_header_without_k():
     assert lines[1] == "1,0.5"
 
 
-def _read_train_rows(stream, kind=REFLECTION, cutoff=math.inf):
+def _read_train_rows(stream):
     """The train CSV reader as it was before the column parse: one row at a
     time, k read when the header names it and the row has a third field."""
     times, amps, ks = [], [], []
@@ -486,7 +462,7 @@ def _read_train_rows(stream, kind=REFLECTION, cutoff=math.inf):
         times.append(time)
         amps.append(amp)
         ks.append(k)
-    return PulseTrain(kind, cutoff, tuple(times), tuple(amps), tuple(map(format_k, ks)))
+    return PulseTrain(REFLECTION, math.inf, times, amps, map(format_k, ks))
 
 
 _ROW_COUNTS = st.integers(0, 40) | st.sampled_from([1023, 1024, 1025, 2047, 2048, 2049, 2500])
@@ -533,9 +509,9 @@ def _train_csvs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_train_csvs())
 def test_read_train_csv_matches_row_loop(text):
-    want = _read_train_rows(io.StringIO(text), REFLECTION, 7.0)
-    lean = read_train_csv(io.StringIO(text), REFLECTION, 7.0)
-    assert lean == PulseTrain(REFLECTION, 7.0, want.times, want.amps, ("",) * len(want))
+    want = _read_train_rows(io.StringIO(text))
+    lean = read_train_csv(io.StringIO(text))
+    assert lean == PulseTrain(REFLECTION, math.inf, want.times, want.amps, ("",) * len(want))
     assert [t.hex() for t in lean.times] == [t.hex() for t in want.times]
     assert [a.hex() for a in lean.amps] == [a.hex() for a in want.amps]
 
@@ -602,7 +578,7 @@ def test_read_train_csv_accepts_header_only(header):
 
 
 def test_signal_csv():
-    train = PulseTrain.from_terms(REFLECTION, 2.0, (PulseTerm(1.0, 1.0, (1,)),))
+    train = PulseTrain(REFLECTION, 2.0, (1.0,), (1.0,), ("1",))
     sig = convolve(train, "spike", 0.0, 0.5, 3)
     buf = io.StringIO()
     write_signal_csv(sig, buf)
@@ -643,8 +619,9 @@ def test_train_matches_validated_reference(case):
                         amplitude(medium.reflections, tv)) for tv in vectors)
     expected = [(t.hex(), a.hex(), k) for t, k, a in reference
                 if floor == 0.0 or abs(a) >= floor]
-    assert [(t.time.hex(), t.amplitude.hex(), t.k) for t in train.terms] == expected
-    keys = [(t.time, t.k) for t in train.terms]
+    ks = train.ks
+    assert [(t.hex(), a.hex(), k) for t, a, k in zip(train.times, train.amps, ks)] == expected
+    keys = list(zip(train.times, ks))
     assert keys == sorted(keys)
     if floor == 0.0:
         assert len(train) == len(vectors)
@@ -671,4 +648,3 @@ def test_k_text_column_holds_the_enumerated_vectors(kind, taus, tail, refl, span
     # the enumeration order, sorted stably on time alone
     timed = [(arrival(tv.k, m), tv.k) for tv in enum(m, cutoff)]
     assert list(ks) == [k for _, k in sorted(timed, key=lambda row: row[0])]
-    assert PulseTrain.from_terms(train.kind, train.cutoff, train.terms) == train

@@ -17,7 +17,7 @@ from layered_echo import (
     read_medium,
     write_medium,
 )
-from conftest import BENCH10_REFLECTIONS, BENCH10_TAUS
+from conftest import BENCH10, BENCH10_REFLECTIONS, BENCH10_TAUS
 
 
 def test_bench_medium_is_valid(bench10):
@@ -128,14 +128,24 @@ def test_round_trip_random_media():
         m = Medium(tuple(rng.uniform(1e-6, 10.0) for _ in range(m_layers + 1)),
                    tuple(rng.uniform(-0.999999, 0.999999) for _ in range(m_layers + 1)),
                    rng.choice([0.0, rng.uniform(0.0, 5.0)]))
-        assert read_medium(write_medium(m)) == m
+        assert read_medium(io.StringIO(write_medium(m))) == m
 
 
 def test_bench_table_serialized_round_trip(bench10):
     lines = ["taur v1 M=10"]
     lines += [f"{t} {r}" for t, r in zip(BENCH10_TAUS, BENCH10_REFLECTIONS)]
-    m = read_medium("\n".join(lines) + "\n")
+    m = read_medium(io.StringIO("\n".join(lines) + "\n"))
     assert m == bench10
+
+
+def test_a_path_and_its_str_give_equal_media(bench10):
+    assert read_medium(BENCH10) == read_medium(str(BENCH10)) == bench10
+
+
+def test_a_string_is_a_path_not_medium_text():
+    text = write_medium(make_medium((1.0, 1.0), 0.0, (0.5, 0.5)))
+    with pytest.raises(OSError):
+        read_medium(text)
 
 
 def test_empty_file_is_parse_error():
@@ -174,11 +184,6 @@ def test_physical_format_rejects_zero_layers():
             "K 4 4\n")
     with pytest.raises(ParseError):
         read_medium(io.StringIO(text))
-
-
-def test_format_mismatch_rejected():
-    with pytest.raises(ParseError):
-        read_medium(io.StringIO("taur v1 M=1\n1 0\n1 0\n"), fmt="phys")
 
 
 def test_comments_and_blank_lines_ignored():
