@@ -6,7 +6,7 @@ tie break.  Coincident arrivals are NOT merged by default -- the train is
 indexed per transit vector -- merging is an explicit post-pass.
 
 A train is a frozen dataclass of three parallel tuples, ``times``,
-``amps`` and ``k_text``, and is built from those columns alone; the
+``amps`` and ``k_text``, and of nothing else (no kind, no cutoff); the
 builders, ``merge_ties``, ``read_train_csv``, ``write_train_csv`` and
 ``convolve`` work on them.  A transit vector is kept as its CSV text,
 "1|3|0" (``transit.format_k``), which the search builds once per vector
@@ -38,17 +38,15 @@ from .transit import REFLECTION, TRANSMISSION, parse_k
 
 @dataclass(frozen=True, repr=False)
 class PulseTrain:
-    """A delta train: ``kind``, ``cutoff`` and the parallel columns
-    ``times``, ``amps`` and ``k_text`` (term i is times[i], amps[i] and
-    the transit vector whose text is k_text[i], "" for a term without k).
+    """A delta train: the parallel columns ``times``, ``amps`` and
+    ``k_text`` (term i is times[i], amps[i] and the transit vector whose
+    text is k_text[i], "" for a term without k).
 
     Each column is stored as a tuple (a tuple passed in is kept as it is),
     and columns of different lengths raise DomainError.  Trains are
-    immutable; two are equal when kind, cutoff and every column are.
+    immutable; two are equal when every column is.
     """
 
-    kind: str
-    cutoff: float
     times: Tuple[float, ...]
     amps: Tuple[float, ...]
     k_text: Tuple[str, ...]
@@ -66,8 +64,7 @@ class PulseTrain:
         return tuple(map(parse_k, self.k_text))
 
     def __repr__(self) -> str:
-        return (f"PulseTrain(kind={self.kind!r}, cutoff={self.cutoff!r}, "
-                f"<{len(self.times)} terms>)")
+        return f"PulseTrain(<{len(self.times)} terms>)"
 
     def __len__(self) -> int:
         return len(self.times)
@@ -107,7 +104,7 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
         rows = [row for row in rows if abs(row[2]) >= amplitude_floor]
     # the columns share the float and str objects the search made
     times, texts, amps = zip(*rows) if rows else ((), (), ())
-    return PulseTrain(kind, cutoff, times, amps, texts)
+    return PulseTrain(times, amps, texts)
 
 
 def reflection_green(medium: Medium, cutoff: float, *,
@@ -166,7 +163,7 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
             # smallest as int tuples: as strings, "1|10|0" < "1|2|1"
             m_texts.append(min(texts[lo:hi], key=parse_k))
     m_times = [times[lo] for lo in starts[:-1]]
-    return PulseTrain(train.kind, train.cutoff, m_times, m_amps, m_texts)
+    return PulseTrain(m_times, m_amps, m_texts)
 
 
 def ricker(peak_freq: float) -> Callable[[float], float]:
@@ -276,8 +273,11 @@ def write_train_csv(train: PulseTrain, stream: TextIO, with_k: bool = False) -> 
 
     The format is medium._fmt's (``%.17g`` converts a float as ``:.17g``
     does), one ``%`` per row; rows go out joined in chunks.  The k field
-    is the train's ``k_text`` as it is.
+    is the train's ``k_text`` as it is; a k text "", which the reader
+    refuses, raises DomainError before any byte is written.
     """
+    if with_k and "" in train.k_text:
+        raise DomainError("cannot write the k column: a term has no transit vector")
     columns = (train.times, train.amps, train.k_text) if with_k else (train.times, train.amps)
     stream.write("time,amplitude,k\n" if with_k else "time,amplitude\n")
     format_row = ("%.17g,%.17g,%s\n" if with_k else "%.17g,%.17g\n").__mod__
@@ -362,8 +362,7 @@ def _parse_columns(lines: List[str], width: int):
 
 
 def read_train_csv(stream: TextIO) -> PulseTrain:
-    """Parse a train CSV from write_train_csv (k optional) into a
-    reflection train with cutoff inf: the CSV holds neither.
+    """Parse a train CSV from write_train_csv (k optional) into a train.
 
     The first line, stripped, must be ``time,amplitude`` or
     ``time,amplitude,k``, and every non-blank row must have as many fields
@@ -400,7 +399,7 @@ def read_train_csv(stream: TextIO) -> PulseTrain:
     except UnicodeDecodeError as exc:
         where = getattr(stream, "name", "train CSV")
         raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x} in {where}") from None
-    return PulseTrain(REFLECTION, math.inf, times, amps, ("",) * len(times))
+    return PulseTrain(times, amps, ("",) * len(times))
 
 
 def write_signal_csv(signal: SampledSignal, stream: TextIO) -> None:

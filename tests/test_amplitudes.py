@@ -217,18 +217,21 @@ def test_sign_parity_flip():
 
 def test_branch_summands_add_up():
     rng = random.Random(11)
-    for _ in range(30):
-        m_layers = rng.randint(1, 4)
-        k = [1] + [rng.randint(0, 4) for _ in range(m_layers)]
-        for i in range(1, len(k)):
-            if k[i - 1] == 0:
-                k[i] = 0
-        tv = rvec(*k)
-        refls = [rng.uniform(-0.9, 0.9) for _ in range(m_layers + 1)]
-        total = sum(count * class_weight(refls, tv, b)
-                    for b, count in class_table(tv.kind, tv.k).items())
-        assert total == pytest.approx(reflection_amplitude(refls, tv),
-                                      rel=1e-11, abs=1e-300)
+    # a transmission class weight also carries one factor T_n per index
+    for kind, amplitude in [(REFLECTION, reflection_amplitude),
+                            (TRANSMISSION, transmission_amplitude)]:
+        for _ in range(30):
+            m_layers = rng.randint(1, 4)
+            k = [1 if kind == REFLECTION else 0] + [rng.randint(0, 4) for _ in range(m_layers)]
+            if kind == REFLECTION:  # the support is a prefix
+                for i in range(1, len(k)):
+                    if k[i - 1] == 0:
+                        k[i] = 0
+            tv = TransitVector(k, kind)
+            refls = [rng.uniform(-0.9, 0.9) for _ in range(m_layers + 1)]
+            total = sum(count * class_weight(refls, tv, b)
+                        for b, count in class_table(tv.kind, tv.k).items())
+            assert total == pytest.approx(amplitude(refls, tv), rel=1e-11, abs=1e-300)
 
 
 def test_amplitudes_always_finite(bench10):

@@ -4,7 +4,7 @@ import io
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,7 +68,7 @@ def test_terms_sorted_with_lex_tiebreak():
     train = reflection_green(m, 8.0)
     keys = list(zip(train.times, train.ks))
     assert keys == sorted(keys)
-    assert all(t <= train.cutoff for t in train.times)
+    assert all(t <= 8.0 for t in train.times)
 
 
 def test_prefix_property():
@@ -146,10 +146,11 @@ def test_writer_matches_the_f_string_writer(n):
            -1.7976931348623157e308, 1.0, 0.1, 1 / 3]
     values = odd + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-40, 40)
                     for _ in range(n)]
-    ks = [(), (7,), (1, 0), (0, 255, 256), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
+    # every k has an entry: with_k, the writer refuses the text "" of k = ()
+    ks = [(0,), (7,), (1, 0), (0, 255, 256), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
     texts = [format_k(ks[i % len(ks)] + tuple(rng.randrange(300) for _ in range(i % 4)))
              for i in range(n)]
-    train = PulseTrain(REFLECTION, 1.0, values[:n], values[:-n - 1:-1], texts)
+    train = PulseTrain(values[:n], values[:-n - 1:-1], texts)
     for with_k in (False, True):
         assert _csv(train, with_k) == _f_string_csv(train, with_k)
     # the signal writer, as it was with one f-string per row
@@ -162,7 +163,7 @@ def test_writer_matches_the_f_string_writer(n):
 
 def test_empty_train_writes_only_the_header():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
-    for train in (PulseTrain(REFLECTION, 2.0, (), (), ()), reflection_green(m, 0.5)):
+    for train in (PulseTrain((), (), ()), reflection_green(m, 0.5)):
         assert len(train) == 0
         assert _csv(train, False) == "time,amplitude\n"
         assert _csv(train, True) == "time,amplitude,k\n"
@@ -173,14 +174,19 @@ def test_train_is_a_value(bench10):
     assert len(train) > 10
     for again in (pickle.loads(pickle.dumps(train)), copy.deepcopy(train), copy.copy(train)):
         assert again == train and hash(again) == hash(train)
-        assert (again.kind, again.cutoff, again.times, again.amps, again.ks) == \
-               (train.kind, train.cutoff, train.times, train.amps, train.ks)
-    for field in ("kind", "cutoff", "times", "amps", "ks"):
+        assert (again.times, again.amps, again.k_text, again.ks) == \
+               (train.times, train.amps, train.k_text, train.ks)
+    # the columns are the whole train: no kind or cutoff is kept
+    assert [f.name for f in fields(train)] == ["times", "amps", "k_text"]
+    for field in ("times", "amps", "k_text", "ks"):
         with pytest.raises(FrozenInstanceError):
             setattr(train, field, ())
         with pytest.raises(FrozenInstanceError):
             delattr(train, field)
-    assert repr(train) == f"PulseTrain(kind='reflection', cutoff=3.0, <{len(train)} terms>)"
+    assert repr(train) == f"PulseTrain(<{len(train)} terms>)"
+    # the train is built from its three columns alone
+    with pytest.raises(TypeError):
+        PulseTrain(REFLECTION, 3.0, train.times, train.amps, train.k_text)
 
 
 def test_columns_of_different_lengths_are_refused():
@@ -191,19 +197,19 @@ def test_columns_of_different_lengths_are_refused():
                     ((0.5, 0.6), (0.25, 0.5), ("1|0",)),
                     ((), (), ("1|0",))]:
         with pytest.raises(DomainError, match="train columns differ in length"):
-            PulseTrain(REFLECTION, 1.0, *columns)
+            PulseTrain(*columns)
 
 
 def test_columns_are_stored_as_tuples():
     times, amps, texts = (0.5, 0.6), (0.25, -0.125), ("1|0", "1|1")
-    built = PulseTrain(REFLECTION, 1.0, times, amps, texts)
+    built = PulseTrain(times, amps, texts)
     # a tuple is kept as it is: a build copies no column
     assert built.times is times and built.amps is amps and built.k_text is texts
-    listed = PulseTrain(REFLECTION, 1.0, list(times), list(amps), list(texts))
+    listed = PulseTrain(list(times), list(amps), list(texts))
     assert (type(listed.times), type(listed.amps), type(listed.k_text)) == (tuple,) * 3
     assert listed == built and hash(listed) == hash(built)
     # any iterable will do, and is read once
-    assert PulseTrain(REFLECTION, 1.0, iter(times), iter(amps), iter(texts)) == built
+    assert PulseTrain(iter(times), iter(amps), iter(texts)) == built
 
 
 def test_huge_cutoff_is_refused_at_once(bench10):
@@ -243,7 +249,7 @@ def test_merge_groups_are_anchored_at_their_first_time():
     # each step is within 1e-6 of the last, but the third term is 1.2e-6 past
     # the first: chaining would merge all three
     times = (1.0, 1.0 + 0.6e-6, 1.0 + 1.2e-6)
-    train = PulseTrain(REFLECTION, 2.0, times, (1.0,) * 3, ("1|0", "1|1", "1|2"))
+    train = PulseTrain(times, (1.0,) * 3, ("1|0", "1|1", "1|2"))
     merged = merge_ties(train, 1e-6)
     assert list(zip(merged.times, merged.amps, merged.ks)) == [
         (1.0, 2.0, (1, 0)), (times[2], 1.0, (1, 2))]
@@ -271,7 +277,7 @@ def test_merge_commensurate_arrivals():
 
 
 def test_merge_zero_tol_only_bit_identical():
-    train = PulseTrain(REFLECTION, 2.0, (1.0, 1.0, 1.0 + 1e-15), (0.5, 0.25, 0.25),
+    train = PulseTrain((1.0, 1.0, 1.0 + 1e-15), (0.5, 0.25, 0.25),
                        ("1|0", "1|1", "1|2"))
     merged = merge_ties(train, 0.0)
     assert len(merged) == 2
@@ -297,13 +303,13 @@ def test_merged_train_matches_oracle_arrival_groups():
 
 
 def test_convolve_spike():
-    train = PulseTrain(REFLECTION, 2.0, (1.0,), (1.0,), ("1",))
+    train = PulseTrain((1.0,), (1.0,), ("1",))
     sig = convolve(train, "spike", 0.0, 0.5, 5)
     assert sig.samples == (0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_convolve_spike_skips_terms_whose_bin_index_overflows():
-    train = PulseTrain(REFLECTION, 2e308, (-1.5e308, 1.0, 1.5e308), (4.0, 1.0, 2.0),
+    train = PulseTrain((-1.5e308, 1.0, 1.5e308), (4.0, 1.0, 2.0),
                        ("1|2", "1", "1|1"))
     # (time - t0) / dt is -inf and +inf for the outer terms
     sig = convolve(train, "spike", 0.0, 0.5, 4)
@@ -311,7 +317,7 @@ def test_convolve_spike_skips_terms_whose_bin_index_overflows():
 
 
 def test_convolve_empty_train():
-    train = PulseTrain(REFLECTION, 2.0, (), (), ())
+    train = PulseTrain((), (), ())
     sig = convolve(train, "spike", 0.0, 0.5, 4)
     assert sig.samples == (0.0, 0.0, 0.0, 0.0)
 
@@ -319,7 +325,7 @@ def test_convolve_empty_train():
 def test_ricker_unit_peak():
     w = ricker(25.0)
     assert w(0.0) == 1.0
-    train = PulseTrain(REFLECTION, 2.0, (0.8,), (-0.4,), ("1",))
+    train = PulseTrain((0.8,), (-0.4,), ("1",))
     sig = convolve(train, w, 0.8, 0.01, 1)
     assert sig.samples[0] == pytest.approx(-0.4, abs=0)
 
@@ -357,7 +363,7 @@ def _trains_and_grids(draw):
     times = draw(st.permutations(times))
     amps = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(times), max_size=len(times)))
     wavelet = draw(st.sampled_from([w, lambda t: w(t)]))  # the lambda has no radius
-    return PulseTrain(REFLECTION, 1.0, times, amps, ("1",) * len(times)), wavelet, t0, dt, n
+    return PulseTrain(times, amps, ("1",) * len(times)), wavelet, t0, dt, n
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,7 +379,7 @@ def test_windowed_convolve_exact_when_rounding_exceeds_the_radius():
     # at t0 = 1e20 a step of dt = 1 rounds away: thousands of samples share
     # the term's time, far more than the one-sample margin around it
     w = ricker(25.0)
-    train = PulseTrain(REFLECTION, 2e20, (1e20, 1e20 + 16384.0), (0.5, -0.25), ("1", "1"))
+    train = PulseTrain((1e20, 1e20 + 16384.0), (0.5, -0.25), ("1", "1"))
     got = convolve(train, w, 1e20, 1.0, 20000).samples
     want = _convolve_every_sample(train, w, 1e20, 1.0, 20000)
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -394,7 +400,7 @@ def test_convolve_far_edge_cut_is_exact(t0, dt, n, cut, has_radius):
     times = [t0 + (n // 2) * dt, math.nextafter(t_far, -math.inf), t_far,
              math.nextafter(t_far, math.inf), t_far + 1.0, t0 - 1.0]
     amps = [0.5 - 0.125 * j for j in range(len(times))]
-    train = PulseTrain(REFLECTION, 2.0 * t_far, times, amps, ("1",) * len(times))
+    train = PulseTrain(times, amps, ("1",) * len(times))
     wavelet = w if has_radius else (lambda t: w(t))
     got = convolve(train, wavelet, t0, dt, n).samples
     want = _convolve_every_sample(train, wavelet, t0, dt, n)
@@ -425,10 +431,21 @@ def test_train_csv_round_trip():
     write_train_csv(train, buf, with_k=True)
     buf.seek(0)
     again = read_train_csv(buf)
-    # the k column is checked and dropped; the CSV holds no kind or cutoff
-    assert (again.times, again.amps) == (train.times, train.amps)
+    # the k column is checked and dropped
+    assert again == PulseTrain(train.times, train.amps, ("",) * len(train))
     assert again.ks == ((),) * len(train)
-    assert (again.kind, again.cutoff) == (REFLECTION, math.inf)
+
+
+def test_a_train_without_k_is_not_written_with_k():
+    # a read train has k text "", which would write rows like "1,0.5," that
+    # the reader refuses
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    again = read_train_csv(io.StringIO(_csv(reflection_green(m, 3.0), True)))
+    buf = io.StringIO()
+    with pytest.raises(DomainError, match="k column"):
+        write_train_csv(again, buf, with_k=True)
+    assert buf.getvalue() == ""
+    assert read_train_csv(io.StringIO(_csv(again, False))) == again
 
 
 def test_train_csv_header_without_k():
@@ -462,7 +479,7 @@ def _read_train_rows(stream):
         times.append(time)
         amps.append(amp)
         ks.append(k)
-    return PulseTrain(REFLECTION, math.inf, times, amps, map(format_k, ks))
+    return PulseTrain(times, amps, map(format_k, ks))
 
 
 _ROW_COUNTS = st.integers(0, 40) | st.sampled_from([1023, 1024, 1025, 2047, 2048, 2049, 2500])
@@ -511,7 +528,7 @@ def _train_csvs(draw):
 def test_read_train_csv_matches_row_loop(text):
     want = _read_train_rows(io.StringIO(text))
     lean = read_train_csv(io.StringIO(text))
-    assert lean == PulseTrain(REFLECTION, math.inf, want.times, want.amps, ("",) * len(want))
+    assert lean == PulseTrain(want.times, want.amps, ("",) * len(want))
     assert [t.hex() for t in lean.times] == [t.hex() for t in want.times]
     assert [a.hex() for a in lean.amps] == [a.hex() for a in want.amps]
 
@@ -578,7 +595,7 @@ def test_read_train_csv_accepts_header_only(header):
 
 
 def test_signal_csv():
-    train = PulseTrain(REFLECTION, 2.0, (1.0,), (1.0,), ("1",))
+    train = PulseTrain((1.0,), (1.0,), ("1",))
     sig = convolve(train, "spike", 0.0, 0.5, 3)
     buf = io.StringIO()
     write_signal_csv(sig, buf)

@@ -98,6 +98,10 @@ def test_invalid_profile():
         PhysicalProfile((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), (1.0, 0.0, 1.0))
     with pytest.raises(InvalidProfile):
         PhysicalProfile((0.0, 1.0), (1.0, 1.0), (1.0, 1.0))  # M = 0
+    with pytest.raises(InvalidProfile, match="3 densities vs 2 bulk moduli"):
+        PhysicalProfile((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), (4.0, 4.0))
+    with pytest.raises(InvalidProfile, match="expected 3 or 4 depths for M=1, got 2"):
+        PhysicalProfile((0.0, 1.0), (1.0, 1.0, 1.0), (4.0, 4.0, 4.0))
 
 
 def test_from_physical_fuzz_yields_valid_media():
@@ -160,6 +164,34 @@ def test_parse_error_carries_line_number():
         read_medium(io.StringIO("taur v1 M=1\n1.0 0.5\nbogus\n"))
     assert exc.value.line_no == 3
     assert "line 3" in str(exc.value)
+
+
+_TAUR = "taur v1 M=1\n1.0 0.5\n2.0 -0.25\n"
+_PHYS = "phys v1 M=1\ndepths 0 1 2\nrho 1 1 1\nK 4 4 4\n"
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    (_TAUR + "tail 1\ntail 2\n", 5, "duplicate tail line"),
+    (_TAUR + "tail 0 1\n", 4, "tail line needs exactly one value"),
+    ("taur v1 M=1\n1.0 0.5\ntail 1\n2.0 -0.25\n", 4, "data after tail line"),
+    (_TAUR.replace("v1", "v2"), 1, "bad header"),
+    (_TAUR.replace("M=1", "M=x"), 1, "bad layer count 'M=x'"),
+    (_TAUR.replace("taur", "xyz"), 1, "unknown format 'xyz'"),
+    (_PHYS + "foo 1\n", 5, "unexpected line 'foo'"),
+    (_PHYS.replace("K 4", "rho 1 1 1\nK 4"), 4, "duplicate 'rho' line"),
+    (_PHYS.replace("K 4 4 4\n", ""), 3, "missing 'K' line"),
+    (_PHYS.replace("rho 1 1 1", "rho 1 1"), 3, "expected 3 rho values for M=1, got 2"),
+    (_PHYS.replace("K 4 4 4", "K 4 4"), 4, "expected 3 K values for M=1, got 2"),
+    (_PHYS.replace("depths 0 1 2", "depths 0 1"), 2,
+     "expected 3 or 4 depths for M=1, got 2"),
+], ids=["taur-duplicate-tail", "taur-tail-two-values", "taur-data-after-tail",
+        "taur-v2-header", "taur-bad-layer-count", "unknown-format",
+        "phys-unexpected-line", "phys-duplicate-rho", "phys-missing-K",
+        "phys-two-rho", "phys-two-K", "phys-two-depths"])
+def test_malformed_medium_error_and_line(text, line_no, message):
+    with pytest.raises(ParseError, match=f"^line {line_no}: .*{message}") as exc:
+        read_medium(io.StringIO(text))
+    assert exc.value.line_no == line_no
 
 
 def test_taur_wrong_interface_count():

@@ -123,6 +123,14 @@ def test_enumerate_sequences_transmission_m1():
     assert got == {(-1, 0, 1, 2)}
 
 
+@pytest.mark.parametrize("kind", [REFLECTION, TRANSMISSION])
+def test_cutoff_before_the_first_arrival_gives_no_walks(kind):
+    # both kinds first arrive at 1.0 here
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    assert list(enumerate_sequences(m, kind, 0.99)) == []
+    assert tally(m, kind, 0.99) == ({}, {})
+
+
 def test_sequence_limit_guard(monkeypatch):
     m = make_medium((1.0, 1.0, 1.0), 0.0, (0.5, 0.5, 0.5))
     monkeypatch.setattr(transit, "MAX_TERMS", 10)
