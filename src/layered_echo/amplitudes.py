@@ -36,8 +36,8 @@ import math
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
-from .transit import (REFLECTION, TRANSMISSION, TransitVector, _Memo, branch_range,
-                      left_shift)
+from .transit import (REFLECTION, TRANSMISSION, TransitVector, _int_entries, _Memo,
+                      branch_range, left_shift)
 
 
 def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
@@ -168,7 +168,7 @@ def class_table(kind: str, k: Sequence[int]) -> Dict[Tuple[int, ...], int]:
 def class_count(tv: TransitVector, b: Sequence[int]) -> int:
     """``class_table(tv.kind, tv.k)[b]``, the product of ``class_column``'s
     counts; DomainError unless b is in k's branch set."""
-    b = tuple(map(int, b))
+    b = _int_entries(b, DomainError)
     table = class_table(tv.kind, tv.k)
     if b not in table:
         raise DomainError(f"b = {b} is not in the branch set of k = {tv.k}")

@@ -290,48 +290,22 @@ _TRAIN_HEADERS = {"time,amplitude": 2, "time,amplitude,k": 3}  # header -> field
 _READ_CHUNK = 1024  # lines per column parse; larger chunks raise the read's peak memory
 
 
-def _parse_rows(lines: List[str], line_no: int, width: int):
-    """Parse train rows one at a time: the times and amplitudes, or
-    ParseError at the first bad line, numbered from line_no.  Each k token
-    is read with int() only to check it."""
-    times: List[float] = []
-    amps: List[float] = []
-    for line_no, line in enumerate(lines, start=line_no):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            if len(fields) != width:
-                raise ValueError
-            if width == 3:
-                list(map(int, fields[2].split("|")))  # checked, not kept
-            time, amp = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise ParseError(f"malformed train row {line!r}", line_no) from None
-        if not (math.isfinite(time) and math.isfinite(amp)):
-            raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
-        times.append(time)
-        amps.append(amp)
-    return times, amps
-
-
 # every byte but ",", "\n" and "\r": deleting them leaves a block's separators
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r")))
-# a k field at most this long holds no token that int() refuses for its
-# length: 640 is the lowest digit limit sys.set_int_max_str_digits allows
-_K_FIELD_MAX = 640
 
 
 def _parse_columns(lines: List[str], width: int):
-    r"""The times and amplitudes _parse_rows gives, parsed a column at a time.
+    r"""The times and amplitudes of a block of train rows, parsed a column
+    at a time: the one statement of a train row.
 
     The block is joined and split once on "," with each "\n" turned into
-    ","; a column is then every width-th field.  The k column is only
-    checked: every token must be plain ASCII digits.  Raises ValueError on
-    anything irregular (a blank line, a row of another width, a line ended
-    other than by "\n", a "\r", a non-ASCII character, a bad or non-finite
-    value, or any other k token), and the caller re-parses by rows.
+    ","; a column is then every width-th field.  A row is width fields, the
+    time and amplitude as float() reads them (whitespace around a value
+    included) and finite, and the k field, when width is 3, tokens of plain
+    ASCII digits of any length joined by "|".  Each line ends in "\n" (the
+    stream's last may end in nothing).  Raises ValueError on anything else:
+    a blank line, a row of another width, a "\r", a non-ASCII character, a
+    bad or non-finite value, or any other k token.
     """
     n = len(lines)
     text = "".join(lines)
@@ -352,32 +326,43 @@ def _parse_columns(lines: List[str], width: int):
     if not (all(map(math.isfinite, times)) and all(map(math.isfinite, amps))):
         raise ValueError
     if width == 3:
-        col = fields[2::3]
         # framed in bars, an empty token shows as "||"
-        framed = f"|{'|'.join(col)}|".encode("ascii")
-        if (framed.translate(None, b"0123456789|") or b"||" in framed
-                or max(map(len, col)) > _K_FIELD_MAX):
+        framed = f"|{'|'.join(fields[2::3])}|".encode("ascii")
+        if framed.translate(None, b"0123456789|") or b"||" in framed:
             raise ValueError
     return times, amps
 
 
+def _first_refused(lines: List[str], width: int) -> int:
+    """The index of the first line that _parse_columns refuses alone, or 0."""
+    for i, line in enumerate(lines):
+        try:
+            _parse_columns([line], width)
+        except ValueError:
+            return i
+    return 0
+
+
 def read_train_csv(stream: TextIO) -> PulseTrain:
-    """Parse a train CSV from write_train_csv (k optional) into a train.
+    r"""Parse a train CSV from write_train_csv (k optional) into a train.
 
     The first line, stripped, must be ``time,amplitude`` or
-    ``time,amplitude,k``, and every non-blank row must have as many fields
-    as that header; blank lines are skipped and whitespace around a field
-    is ignored.  A bad header raises ParseError at line 1; a row of another
-    width, a malformed field, or a time or amplitude that is not finite
-    raises ParseError with its line number; a byte the stream cannot decode
-    raises ParseError naming the stream.
+    ``time,amplitude,k``, and every later line a row as _parse_columns
+    states it: as many fields as the header, a finite time and amplitude,
+    and k tokens of ASCII digits.  A bad header raises ParseError at line 1;
+    the first line that is no such row, a blank one included, raises
+    ParseError "malformed train row" with its line number; a byte the
+    stream cannot decode raises ParseError naming the stream.  Lines are
+    the stream's own: a text-mode file reads CRLF and CR files, but a "\r"
+    that the stream leaves in a line (``io.StringIO``, ``newline=""``) is
+    refused.
 
-    A k column is checked, each token an int, but not kept: every term's k
-    text is "" and its k is (), as in a CSV without k.
+    A k column is checked but not kept: every term's k text is "" and its
+    k is (), as in a CSV without k.
 
-    The rows are read 1024 lines at a time and each block is parsed a column
-    at a time; a block that does not parse that way is parsed again row by
-    row, which gives the same columns or the error of its first bad line.
+    The rows are read 1024 lines at a time and each block is parsed a
+    column at a time; a block that does not parse raises the error of its
+    first line that does not parse alone.
     """
     times: List[float] = []
     amps: List[float] = []
@@ -392,7 +377,9 @@ def read_train_csv(stream: TextIO) -> PulseTrain:
             try:
                 block = _parse_columns(lines, width)
             except ValueError:
-                block = _parse_rows(lines, line_no, width)
+                i = _first_refused(lines, width)
+                raise ParseError(f"malformed train row {lines[i].strip()!r}",
+                                 line_no + i) from None
             times += block[0]
             amps += block[1]
             line_no += len(lines)

@@ -181,8 +181,13 @@ def write_medium(medium: Medium) -> str:
 
 
 def _data_lines(text: str):
-    """Yield (line_no, tokens) for non-empty lines, comments stripped."""
-    for i, raw in enumerate(text.splitlines(), start=1):
+    r"""Yield (line_no, tokens) for non-empty lines, comments stripped.
+
+    A line ends at "\n", "\r\n" or "\r", as open()'s text mode splits
+    them; str.splitlines() would also end one at a form feed in a comment.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield i, line.split()

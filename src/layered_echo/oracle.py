@@ -45,6 +45,7 @@ from .transit import (
     REFLECTION,
     TRANSMISSION,
     TransitVector,
+    _int_entries,
     _Memo,
     reflection_arrival,
     transmission_arrival,
@@ -59,7 +60,7 @@ class ScatteringSequence:
     kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
+        object.__setattr__(self, "depths", _int_entries(self.depths, InvalidSequence))
         p = self.depths
         if len(p) < 3:
             raise InvalidSequence(f"sequence too short: {p}")

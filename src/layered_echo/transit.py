@@ -38,6 +38,19 @@ REFLECTION = "reflection"
 TRANSMISSION = "transmission"
 
 
+def _int_entries(values: Sequence, error: type) -> Tuple[int, ...]:
+    """``values`` as a tuple of ints, or ``error`` unless every entry is an
+    integer: 2.0 is read as 2, and 2.7 or "2" is refused."""
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise error(f"entries must be integers: {values}")
+    return ints
+
+
 @dataclass(frozen=True)
 class TransitVector:
     """Per-layer round-trip crossing counts, tagged reflection or transmission."""
@@ -46,7 +59,7 @@ class TransitVector:
     kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
+        object.__setattr__(self, "k", _int_entries(self.k, InvalidTransitVector))
         k = self.k
         if self.kind not in (REFLECTION, TRANSMISSION):
             raise InvalidTransitVector(f"unknown kind {self.kind!r}")

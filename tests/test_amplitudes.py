@@ -170,8 +170,9 @@ def test_class_table_holds_every_class_in_branch_set_order():
     (tvec(0, 2, 1), (0, 0, -1)),  # negative b_2
     (rvec(1, 2, 0), (1, 1)),      # b shorter than k
     (tvec(0, 2, 1), (0, 1, 0, 0)),  # b longer than k
+    (rvec(1, 1), (1.5, 0.2)),     # not integers; truncated, (1, 0) is in the set
 ], ids=["refl-below-u", "refl-above-k", "refl-above-kt", "refl-negative",
-        "trans-above-k", "trans-above-kt", "trans-negative", "short", "long"])
+        "trans-above-k", "trans-above-kt", "trans-negative", "short", "long", "non-integral"])
 def test_class_count_refuses_a_b_outside_the_branch_set(tv, b):
     with pytest.raises(DomainError):
         class_count(tv, b)

@@ -451,16 +451,33 @@ def test_render_malformed_k_is_parse_error(tmp_path, k):
     assert "Traceback" not in res.stderr
 
 
-def test_render_reads_any_k_the_row_loop_reads(tmp_path):
-    with_k = tmp_path / "with_k.csv"
-    with_k.write_text("time,amplitude,k\n1,0.5,1\n2,0.25,-1|+2\n")
+def test_render_reads_k_of_plain_digits_of_any_length(tmp_path):
+    # "-1" and "+2" are ints, but no k the search writes
+    signed = tmp_path / "signed.csv"
+    signed.write_text("time,amplitude,k\n1,0.5,1\n2,0.25,-1|+2\n")
+    res = run("render", "--train", str(signed), "--wavelet", "spike", "--dt", "0.5", "--n", "5")
+    assert_one_error_line(res, "line 3: malformed train row")
+    long_k = tmp_path / "long_k.csv"
+    long_k.write_text(f"time,amplitude,k\n1,0.5,1\n2,0.25,1|{'9' * 5000}\n")
     plain = tmp_path / "plain.csv"
     plain.write_text("time,amplitude\n1,0.5\n2,0.25\n")
     out = [run("render", "--train", str(path), "--wavelet", "spike", "--dt", "0.5", "--n", "5")
-           for path in (with_k, plain)]
+           for path in (long_k, plain)]
     assert [res.returncode for res in out] == [0, 0]
     assert out[0].stdout == out[1].stdout == \
         "time,value\n0,0\n0.5,0\n1,0.5\n1.5,0\n2,0.25\n"
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_render_reads_crlf_and_cr_files(small_medium, tmp_path, end):
+    # render opens the train in text mode, which ends lines at either
+    train = tmp_path / "train.csv"
+    res = run("reflect", "--medium", small_medium, "--cutoff", "2", "--with-k", "--out", str(train))
+    assert res.returncode == 0
+    train.write_bytes(train.read_bytes().replace(b"\n", end.encode("ascii")))
+    res = run("render", "--train", str(train), "--wavelet", "spike", "--dt", "0.5", "--n", "5")
+    assert res.returncode == 0
+    assert res.stdout == "time,value\n0,0\n0.5,0\n1,0.5\n1.5,0\n2,0.375\n"
 
 
 @pytest.mark.parametrize("args", [("--wavelet", "ricker:inf"), ("--t0", "nan"),

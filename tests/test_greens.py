@@ -255,6 +255,12 @@ def test_merge_groups_are_anchored_at_their_first_time():
         (1.0, 2.0, (1, 0)), (times[2], 1.0, (1, 2))]
 
 
+@pytest.mark.parametrize("tol_rel", [0.0, greens.DEFAULT_MERGE_TOL, 1.0])
+def test_merge_of_an_empty_train_returns_it(tol_rel):
+    empty = PulseTrain((), (), ())
+    assert merge_ties(empty, tol_rel) is empty
+
+
 def test_merge_no_ties_is_identity():
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     train = reflection_green(m, 2.0)
@@ -457,117 +463,111 @@ def test_train_csv_header_without_k():
     assert lines[1] == "1,0.5"
 
 
-def _read_train_rows(stream):
-    """The train CSV reader as it was before the column parse: one row at a
-    time, k read when the header names it and the row has a third field."""
-    times, amps, ks = [], [], []
-    with_k = "k" in stream.readline().strip().split(",")
-    for line_no, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            k = ()
-            if len(fields) >= 3 and with_k:
-                k = tuple(map(int, fields[2].split("|")))
-            time, amp = float(fields[0]), float(fields[1])
-        except (ValueError, IndexError):
-            raise ParseError(f"malformed train row {line!r}", line_no) from None
-        if not (math.isfinite(time) and math.isfinite(amp)):
-            raise ParseError(f"non-finite time or amplitude {line!r}", line_no)
-        times.append(time)
-        amps.append(amp)
-        ks.append(k)
-    return PulseTrain(times, amps, map(format_k, ks))
-
-
-_ROW_COUNTS = st.integers(0, 40) | st.sampled_from([1023, 1024, 1025, 2047, 2048, 2049, 2500])
+_ROW_COUNTS = (1023, 1024, 1025, 2047, 2048, 2049, 2500)  # about the 1024-line blocks
 
 
 @st.composite
-def _train_csvs(draw):
-    """A valid train CSV: rows are made by a seeded generator, so that files
-    of a few thousand rows stay cheap to draw, with the features drawn."""
+def _written_trains(draw):
+    """A train of 2500 terms that write_train_csv can write, whether its CSV
+    has k and a final newline: rows are made by a seeded generator, so that
+    trains of a few thousand terms stay cheap to draw."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    n = draw(_ROW_COUNTS)
-    with_k = draw(st.booleans())
-    k_len = draw(st.sampled_from([1, 3, 11, None]))  # None: lengths vary by row
+    k_len = draw(st.sampled_from([1, 3, 11, None]))  # None: lengths vary by term
     big_k = draw(st.sampled_from([0.0, 0.01, 0.5]))  # share of k tokens >= 256
-    odd_k = draw(st.sampled_from([0.0, 0.01]))  # share of "+3", "1_0", "007"
-    pad = draw(st.sampled_from([0.0, 0.05]))  # share of whitespace-padded rows
-    blank = draw(st.sampled_from([0.0, 0.02]))  # blank lines between rows
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    final_newline = draw(st.booleans())
+    long_k = draw(st.sampled_from([0.0, 0.01]))  # share of k tokens of 700 to 5000 digits
+    odd = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+    def value(scale):
+        return rng.choice(odd) if rng.random() < 0.01 else rng.uniform(-scale, scale)
 
     def k_token():
-        if rng.random() < odd_k:
-            # "\u0661" is an Arabic-Indic one, which int() reads
-            return rng.choice(["+3", "1_0", "007", " 4", "-0", "\u0661", "0" * 700])
+        if rng.random() < long_k:
+            return str(rng.randrange(1, 10)) * rng.randrange(700, 5000)
         return str(rng.randrange(256, 100000) if rng.random() < big_k else rng.randrange(256))
 
-    lines = ["time,amplitude,k" if with_k else "time,amplitude"]
-    for _ in range(n):
-        fields = [repr(rng.uniform(0.0, 10.0)), f"{rng.uniform(-1.0, 1.0):.17g}"]
-        if rng.random() < odd_k:
-            fields[0] = rng.choice(["1_0.5", "+2", " 3.25", "4e-1 "])
-        if with_k:
-            fields.append("|".join(k_token() for _ in range(k_len or rng.randrange(1, 5))))
-        line = ",".join(fields)
-        if rng.random() < pad:
-            line = rng.choice([" ", "\t", "  "]) + line + rng.choice([" ", "\t", ""])
-        lines.append(line)
-        if rng.random() < blank:
-            lines.append(rng.choice(["", "   ", "\t"]))
-    text = end.join(lines)
-    return text + end if final_newline or n == 0 else text
+    n = 2500
+    texts = ["|".join(k_token() for _ in range(k_len or rng.randrange(1, 5))) for _ in range(n)]
+    train = PulseTrain([abs(value(10.0)) for _ in range(n)], [value(1.0) for _ in range(n)], texts)
+    return train, draw(st.booleans()), draw(st.booleans())
 
 
-@settings(max_examples=60, deadline=None)
-@given(_train_csvs())
-def test_read_train_csv_matches_row_loop(text):
-    want = _read_train_rows(io.StringIO(text))
-    lean = read_train_csv(io.StringIO(text))
-    assert lean == PulseTrain(want.times, want.amps, ("",) * len(want))
-    assert [t.hex() for t in lean.times] == [t.hex() for t in want.times]
-    assert [a.hex() for a in lean.amps] == [a.hex() for a in want.amps]
+@settings(max_examples=30, deadline=None)
+@given(_written_trains(), st.integers(0, 40))
+def test_read_train_csv_reads_back_what_write_train_csv_writes(case, few):
+    # every size about the block edges, and a few rows; times and amplitudes
+    # come back bit for bit, k is checked and dropped
+    train, with_k, final_newline = case
+    for n in (few,) + _ROW_COUNTS:
+        part = PulseTrain(train.times[:n], train.amps[:n], train.k_text[:n])
+        text = _csv(part, with_k)
+        again = read_train_csv(io.StringIO(text if final_newline else text[:-1]))
+        assert [t.hex() for t in again.times] == [t.hex() for t in part.times]
+        assert [a.hex() for a in again.amps] == [a.hex() for a in part.amps]
+        assert again.k_text == ("",) * n
 
 
-@pytest.mark.parametrize("bad", ["1.0,abc,1|2", "1.0,0.5,1|x", "1.0,0.5,1||2",
-                                 "nan,0.5,1|2", "1.0,inf,1|2", "1.0,0.5,", "1.0,0.5,|1",
-                                 "1.0,0.5,1|", "1.0,0.5,1|\u00b2",
-                                 # past int()'s default limit of 4300 digits
-                                 pytest.param("1.0,0.5,1|" + "1" * 5000, id="5000-digits")])
-def test_read_train_csv_error_in_third_block_has_row_loop_line(bad):
+@pytest.mark.parametrize("bad, line_no", [
+    pytest.param(bad, 2102, id=bad)
+    for bad in ["1.0,abc,1|2", "1.0,0.5,1|x", "1.0,0.5,1||2", "nan,0.5,1|2", "1.0,inf,1|2",
+                "1.0,0.5,", "1.0,0.5,|1", "1.0,0.5,1|", "1.0,0.5,1|\u00b2"]
+] + [pytest.param("1.0,0.5,1|" + "1" * 5000, 2502, id="5000-digits")])  # a k of any length
+def test_read_train_csv_error_in_third_block_has_row_loop_line(bad, line_no):
+    # the error names the first line of the block that does not parse alone
     rows = [f"{0.001 * i!r},0.5,{i % 256}|{i % 7}" for i in range(3000)]
     rows[2100] = bad
-    rows[5] = ""  # a blank line still counts
+    rows[2500] = ""  # a blank line is a malformed row too
     text = "time,amplitude,k\n" + "\n".join(rows) + "\n"
-    with pytest.raises(ParseError) as want:
-        _read_train_rows(io.StringIO(text))
     with pytest.raises(ParseError) as got:
         read_train_csv(io.StringIO(text))
-    assert got.value.line_no == want.value.line_no == 2102
-    assert str(got.value) == str(want.value)
+    assert got.value.line_no == line_no
+    assert str(got.value) == f"line {line_no}: malformed train row {rows[line_no - 2]!r}"
 
 
 @pytest.mark.parametrize("newline", [None, "", "\r"], ids=["universal", "untranslated", "cr"])
-@pytest.mark.parametrize("data", [b"time,amplitude\r1,0.5\r2,0.25\r",
-                                  b"time,amplitude\r\n1,0.5\r\n\r\n2,0.25",
-                                  b"time,amplitude\r1,0.5\n2,0.25\r"], ids=["cr", "crlf", "mixed"])
-def test_read_train_csv_splits_lines_as_the_stream_does(newline, data):
-    # the column parse splits a block on "\n"; the stream's own lines decide
-    def stream():
-        return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=newline)
-
-    try:
-        want = _read_train_rows(stream())
-    except ParseError as exc:
-        with pytest.raises(ParseError) as got:
-            read_train_csv(stream())
-        assert got.value.line_no == exc.line_no
+@pytest.mark.parametrize("data, refused_at", [
+    pytest.param(b"time,amplitude\r1,0.5\r2,0.25\r", {None: None, "": 2, "\r": 2}, id="cr"),
+    pytest.param(b"time,amplitude\r\n1,0.5\r\n\r\n2,0.25", {None: 3, "": 2, "\r": 2}, id="crlf"),
+    pytest.param(b"time,amplitude\r1,0.5\n2,0.25\r", {None: None, "": 3, "\r": 2}, id="mixed"),
+])
+def test_read_train_csv_splits_lines_as_the_stream_does(newline, data, refused_at):
+    # the stream's own lines are the rows: a "\r" it leaves in one is refused,
+    # and so is the blank line of the CRLF file
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=newline)
+    line_no = refused_at[newline]
+    if line_no is None:
+        assert read_train_csv(stream) == PulseTrain((1.0, 2.0), (0.5, 0.25), ("", ""))
     else:
-        assert read_train_csv(stream()) == want
+        with pytest.raises(ParseError, match="malformed train row") as err:
+            read_train_csv(stream)
+        assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("time,amplitude\n1,0.5\n\n2,0.25\n", 3),
+    ("time,amplitude\n1,0.5\n \t\n2,0.25\n", 3),
+    ("time,amplitude\n1,0.5\n2,0.25\n\n", 4),
+    ("time,amplitude\r\n1,0.5\r\n2,0.25\r\n", 2),  # io.StringIO keeps the "\r"
+    ("time,amplitude,k\n1,0.5,1\n2,0.25,1|+3\n", 3),
+    ("time,amplitude,k\n1,0.5,1\n2,0.25,-1\n", 3),
+    ("time,amplitude,k\n1,0.5,1\n2,0.25,1_0\n", 3),
+    ("time,amplitude,k\n1,0.5,1\n2,0.25, 4\n", 3),
+    ("time,amplitude,k\n1,0.5,1\n2,0.25,1 \n", 3),
+    ("time,amplitude,k\n1,0.5,1\n2,0.25,\u0661\n", 3),  # an Arabic-Indic one
+    ("time,amplitude\n1,0.5\n2,nan\n", 3),
+], ids=["blank", "whitespace-only", "trailing-blank", "untranslated-cr", "k-plus",
+        "k-minus", "k-underscore", "k-leading-space", "k-trailing-space", "k-non-ascii-digit",
+        "nan-amplitude"])
+def test_read_train_csv_refuses_what_write_train_csv_never_writes(text, line_no):
+    with pytest.raises(ParseError) as err:
+        read_train_csv(io.StringIO(text))
+    assert err.value.line_no == line_no
+    assert "malformed train row" in str(err.value)
+
+
+def test_read_train_csv_reads_whitespace_around_values():
+    # float() reads the spaces; the k column takes none
+    text = "time,amplitude,k\n 1 ,\t0.5\t,1|2\n2.0, -0.25,3\n"
+    assert read_train_csv(io.StringIO(text)) == PulseTrain((1.0, 2.0), (0.5, -0.25), ("", ""))
 
 
 @pytest.mark.parametrize("text, line_no", [

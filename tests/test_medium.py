@@ -225,6 +225,22 @@ def test_comments_and_blank_lines_ignored():
     assert m.reflections == (0.5, -0.25)
 
 
+# str.splitlines() ends a line at each of these too; a file opened in text
+# mode ends one only at "\n", "\r\n" or "\r"
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+def test_a_line_break_character_in_a_comment_stays_in_it(char):
+    text = "taur v1 M=1\n# two-layer test {} second page\n0.1 0.5\n0.2 0.3\n"
+    assert read_medium(io.StringIO(text.format(char))) == read_medium(io.StringIO(text.format("")))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_lines_end_at_lf_crlf_and_cr(end):
+    text = end.join(["taur v1 M=1", "0.1 0.5", "0.2 0.3  # comment", "tail 0", "bogus"])
+    with pytest.raises(ParseError, match="^line 5: data after tail line"):
+        read_medium(io.StringIO(text))
+
+
 def test_medium_is_hashable_and_immutable(bench10):
     hash(bench10)
     with pytest.raises(Exception):

@@ -54,6 +54,35 @@ def test_sequence_validation():
         ScatteringSequence((0, 1, 0), REFLECTION)
 
 
+@pytest.mark.parametrize("depths, kind", [
+    ((-1, 0), REFLECTION),
+    ((-1, 0, 1), REFLECTION),
+    ((-1, 0, 1, 2, 1, 2), TRANSMISSION),
+    ((-1, 0, -1), "echo"),
+    ((-1, 0.4, -1.2), REFLECTION),
+    ((-1, 0, 1.5, 2), TRANSMISSION),
+], ids=["too-short", "refl-not-back-at-source", "trans-interior-at-receiver", "unknown-kind",
+        "refl-non-integral", "trans-non-integral"])
+def test_sequence_refuses(depths, kind):
+    with pytest.raises(InvalidSequence):
+        ScatteringSequence(depths, kind)
+
+
+@pytest.mark.parametrize("seq", [rpath(-1, 0, 1, 2, 1, 0, -1), tpath(-1, 0, 1, 2, 3)],
+                         ids=[REFLECTION, TRANSMISSION])
+def test_stats_refuses_a_walk_deeper_than_the_medium(seq):
+    with pytest.raises(InvalidSequence, match="exceeds interface range"):
+        stats(seq, make_medium((1.0, 1.0), 0.0, (0.5, 0.5)))
+
+
+@pytest.mark.parametrize("walks", [lambda m: list(enumerate_sequences(m, "echo", 3.0)),
+                                   lambda m: tally(m, "echo", 3.0)],
+                         ids=["enumerate_sequences", "tally"])
+def test_unknown_kind_is_refused(walks):
+    with pytest.raises(ValueError, match="unknown kind 'echo'"):
+        walks(make_medium((1.0, 1.0), 0.0, (0.5, 0.5)))
+
+
 def test_weight_first_multiple():
     r0, r1 = 0.3, -0.6
     w = weight(rpath(-1, 0, 1, 0, -1), (r0, r1))

@@ -51,6 +51,24 @@ def test_transit_vector_validation():
         rvec(1, -1)
 
 
+@pytest.mark.parametrize("k, kind", [
+    ((1, 2), "echo"),
+    ((), REFLECTION),
+    ((1, 2.7, 0.2), REFLECTION),
+    ((0, 1.5), TRANSMISSION),
+    ((1, float("nan")), REFLECTION),
+    ((1, "2"), REFLECTION),
+], ids=["unknown-kind", "empty", "refl-non-integral", "trans-non-integral", "nan", "str"])
+def test_transit_vector_refuses(k, kind):
+    with pytest.raises(InvalidTransitVector):
+        TransitVector(k, kind)
+
+
+def test_transit_vector_reads_integral_floats_as_ints():
+    assert rvec(1.0, 2.0, 0.0).k == (1, 2, 0)
+    assert all(type(x) is int for x in rvec(1.0, 2.0, 0.0).k)
+
+
 def test_branch_set_primary_is_singleton():
     # the only branch vector of a primary is the previous primary
     assert branch_set(rvec(1, 1, 1, 0)) == [(1, 1, 0, 0)]
