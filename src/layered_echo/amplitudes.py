@@ -33,7 +33,7 @@ sqrt(1 - R_n^2) factor per index.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
 from .transit import (REFLECTION, TRANSMISSION, TransitVector, _int_entries, _Memo,
@@ -158,11 +158,23 @@ def class_table(kind: str, k: Sequence[int]) -> Dict[Tuple[int, ...], int]:
     """Exact number of scattering sequences in every branch class (k, b) of
     an unvalidated k of this kind, by b in ``transit.branch_set`` order: the
     product over n of ``class_column(kind, k_n, k~_n)``'s counts."""
-    table = {(): 1}
-    for kn, ktn in zip(k, left_shift(k)):
-        column = class_column(kind, kn, ktn)
-        table = {b + (bn,): count * c for b, count in table.items() for bn, c in column}
-    return table
+    return _class_tables(kind)(k)
+
+
+def _class_tables(kind: str) -> Callable[[Sequence[int]], Dict[Tuple[int, ...], int]]:
+    """``class_table(kind, k)`` as a function of k that reads every column
+    from one memo kept as long as the function: each distinct (k_n, k~_n)
+    column is built once, however many vectors have it."""
+    columns = _Memo(lambda key: class_column(kind, *key))
+
+    def fold(k: Sequence[int]) -> Dict[Tuple[int, ...], int]:
+        table = {(): 1}
+        for key in zip(k, left_shift(k)):
+            column = columns[key]
+            table = {b + (bn,): count * c for b, count in table.items() for bn, c in column}
+        return table
+
+    return fold
 
 
 def class_count(tv: TransitVector, b: Sequence[int]) -> int:

@@ -34,7 +34,7 @@ from itertools import chain
 from typing import Optional
 
 from . import goupillaud, greens, oracle
-from .amplitudes import class_table
+from .amplitudes import _class_tables
 from .errors import DomainError, LayeredEchoError
 from .medium import read_medium, write_medium
 from .transit import REFLECTION, TRANSMISSION, parse_k
@@ -155,8 +155,10 @@ def _cmd_oracle(args) -> int:
         # every class of every vector against the formula, then each class
         # the walks found outside the formula's set against 0
         n_classes = len(counts)
+        # one column memo per kind per run, not one per vector
+        class_table = _class_tables(kind)
         for k in chain(closed, lacking):
-            for b, expected in class_table(kind, k).items():
+            for b, expected in class_table(k).items():
                 mismatches += _class_mismatch(kind, k, b, counts.pop((k, b), 0), expected)
         for (k, b), count in counts.items():
             mismatches += _class_mismatch(kind, k, b, count, 0)

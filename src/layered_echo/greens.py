@@ -351,11 +351,11 @@ def read_train_csv(stream: TextIO) -> PulseTrain:
     states it: as many fields as the header, a finite time and amplitude,
     and k tokens of ASCII digits.  A bad header raises ParseError at line 1;
     the first line that is no such row, a blank one included, raises
-    ParseError "malformed train row" with its line number; a byte the
-    stream cannot decode raises ParseError naming the stream.  Lines are
-    the stream's own: a text-mode file reads CRLF and CR files, but a "\r"
-    that the stream leaves in a line (``io.StringIO``, ``newline=""``) is
-    refused.
+    ParseError "malformed train row" with its line number and the line as
+    read, less its "\n"; a byte the stream cannot decode raises ParseError
+    naming the stream.  Lines are the stream's own: a text-mode file reads
+    CRLF and CR files, but a "\r" that the stream leaves in a line
+    (``io.StringIO``, ``newline=""``) is refused.
 
     A k column is checked but not kept: every term's k text is "" and its
     k is (), as in a CSV without k.
@@ -378,8 +378,8 @@ def read_train_csv(stream: TextIO) -> PulseTrain:
                 block = _parse_columns(lines, width)
             except ValueError:
                 i = _first_refused(lines, width)
-                raise ParseError(f"malformed train row {lines[i].strip()!r}",
-                                 line_no + i) from None
+                row = lines[i].removesuffix("\n")  # as read, a stray "\r" kept
+                raise ParseError(f"malformed train row {row!r}", line_no + i) from None
             times += block[0]
             amps += block[1]
             line_no += len(lines)

@@ -212,9 +212,10 @@ def read_medium(source: Union[str, os.PathLike, TextIO]) -> Medium:
             with open(source, "r", encoding="ascii") as fh:
                 text = fh.read()
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ParseError(f"non-ASCII byte {byte:#04x}",
-                         exc.object.count(b"\n", 0, exc.start) + 1) from None
+        # the byte's line, counting "\n", "\r\n" and "\r" ends as _data_lines does
+        head = exc.object[:exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"non-ASCII byte {exc.object[exc.start]:#04x}", line_no) from None
 
     lines = list(_data_lines(text))
     if not lines:

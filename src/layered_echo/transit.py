@@ -19,7 +19,9 @@ Arrival times are accumulated strictly left to right (k_0*tau_0 first) so
 that term counts at a given cutoff are deterministic and reproducible.  The
 same search carries the amplitude: each time it fixes k_{n+1} it multiplies
 the per-layer factor s_n(k_n, k_{n+1}) into a running product, and counts
-the vectors against MAX_TERMS as it makes them.  A vector is carried as its
+the vectors against MAX_TERMS as it makes them.  Factor rows are looked up
+once per node: a node that fixes k_n takes the row s_{n-1}(k_{n-1}, .)
+once, and its children read it by k_n alone.  A vector is carried as its
 text, the CSV k field ("1|3|0"): each node's text is its parent's plus one
 "|k_n", so the search builds no k tuple; ``parse_k`` parses a text back
 where a caller wants the entries.
@@ -28,6 +30,7 @@ where a caller wants the entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -157,6 +160,11 @@ def parse_k(text: str) -> Tuple[int, ...]:
     return tuple(map(int, text.split("|"))) if text else ()
 
 
+def _factor_row(factors: Mapping, n: int, kn: int) -> Mapping:
+    """k_{n+1} -> factors[n, k_n, k_{n+1}], each asked once, on first lookup."""
+    return _Memo(lambda kt: factors[n, kn, kt])
+
+
 def terms(medium: Medium, kind: str, cutoff: float,
           factors: Mapping) -> Iterator[Tuple[float, str, float]]:
     """Yield (arrival, k text, amplitude) for every transit vector k arriving by the cutoff.
@@ -167,20 +175,22 @@ def terms(medium: Medium, kind: str, cutoff: float,
     the first arrival is already late.  ``factors[n, k_n, k_{n+1}]`` is the
     per-layer factor s_n (see ``amplitudes.layer_factors``); the search
     multiplies s_n into a running product as soon as it fixes k_{n+1}, so
-    the amplitude is the product of s_0 .. s_M in that order.  A reflection
-    vector is emitted at the end of its support, where the remaining factors
-    s(0, 0) are exactly 1.0 and are not multiplied in.  The vectors come in
-    strictly increasing lexicographic order of k, for both kinds: the
-    depth-first search visits children in ascending order of their entry,
-    and a reflection prefix comes before its children.  A node that fixes
-    the last entry k_M emits its children itself, multiplying s_{M-1} and
-    then s_M into the running product, so no full vector takes a stack
-    entry.  Each node's prefix text is its parent's plus "|k_n", so a
-    vector's text costs one concatenation.  Raises EnumerationLimitExceeded
-    if and only if more than MAX_TERMS vectors arrive: the search counts
-    each node's children after making them, so a few past the limit may be
-    yielded before it raises, and stops at once when one node surely has
-    too many.
+    the amplitude is the product of s_0 .. s_M in that order.  Factor rows
+    are looked up once per node: a node takes the row s_{n-1}(k_{n-1}, .)
+    once and each child reads it by k_n, and ``factors`` is asked each key
+    once, on first lookup.  A reflection vector is emitted at the end of its
+    support, where the remaining factors s(0, 0) are exactly 1.0 and are not
+    multiplied in.  The vectors come in strictly increasing lexicographic
+    order of k, for both kinds: the depth-first search visits children in
+    ascending order of their entry, and a reflection prefix comes before its
+    children.  A node that fixes the last entry k_M emits its children
+    itself, multiplying s_{M-1} and then s_M into the running product, so no
+    full vector takes a stack entry.  Each node's prefix text is its
+    parent's plus "|k_n", so a vector's text costs one concatenation.
+    Raises EnumerationLimitExceeded if and only if more than MAX_TERMS
+    vectors arrive: the search counts each node's children after making
+    them, so a few past the limit may be yielded before it raises, and stops
+    at once when one node surely has too many.
     """
     taus = medium.layer_taus
     m1 = len(taus)
@@ -201,6 +211,10 @@ def terms(medium: Medium, kind: str, cutoff: float,
     # pads[m1 - n] the zeros that pad a reflection prefix of n entries
     bars = _Memo("|%d".__mod__)
     pads = _Memo("|0".__mul__)
+    # rows[n - 1][k_{n-1}] is the factor row of a node that fixes k_n, and
+    # tail[k_M] is s_M(k_M, 0)
+    rows = [_Memo(partial(_factor_row, factors, n)) for n in range(last)]
+    tail = _Memo(lambda kn: factors[last, kn, 0])
     # (index n of the next entry to fix, k_{n-1}, text of k_0 .. k_{n-1},
     # time so far, s_0 * .. * s_{n-2}); an explicit stack, so a yield costs
     # O(1) at any depth
@@ -209,8 +223,9 @@ def terms(medium: Medium, kind: str, cutoff: float,
     extend = stack.extend
     while stack:
         n, kp, prefix, t, amp = pop()
+        row = rows[n - 1][kp]
         if emit_all:
-            yield t, prefix + pads[m1 - n], amp * factors[n - 1, kp, 0]
+            yield t, prefix + pads[m1 - n], amp * row[0]
         tau = taus[n]
         # there are at least (cutoff - t)/tau - 1 children and each holds a
         # vector not counted yet; the + 2 absorbs rounding
@@ -221,13 +236,13 @@ def terms(medium: Medium, kind: str, cutoff: float,
         if n == last:
             # the children are full vectors: emit them here, not via the stack
             while tn <= cutoff:
-                yield tn, prefix + bars[kn], amp * factors[n - 1, kp, kn] * factors[n, kn, 0]
+                yield tn, prefix + bars[kn], amp * row[kn] * tail[kn]
                 kn += 1
                 tn = t + kn * tau
         else:
             children = []
             while tn <= cutoff:
-                children.append((n + 1, kn, prefix + bars[kn], tn, amp * factors[n - 1, kp, kn]))
+                children.append((n + 1, kn, prefix + bars[kn], tn, amp * row[kn]))
                 kn += 1
                 tn = t + kn * tau
             # pushed largest k_n first, so they pop in ascending order

@@ -20,6 +20,7 @@ from layered_echo import (
 )
 from layered_echo.amplitudes import (
     CANCEL_LIMIT,
+    class_column,
     class_count,
     class_table,
     class_weight,
@@ -176,6 +177,33 @@ def test_class_table_holds_every_class_in_branch_set_order():
 def test_class_count_refuses_a_b_outside_the_branch_set(tv, b):
     with pytest.raises(DomainError):
         class_count(tv, b)
+
+
+def _jacobi(m, alpha, beta, x):
+    """P_m^(alpha, beta)(x) by the standard finite sum (Szego 1939, 4.3.2);
+    0 when m < 0."""
+    return sum(math.comb(m + alpha, m - s) * math.comb(m + beta, s)
+               * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (m - s) for s in range(m + 1))
+
+
+@pytest.mark.parametrize("kind", [REFLECTION, TRANSMISSION])
+def test_per_level_sum_is_a_jacobi_polynomial(kind):
+    # sum over class_column's (b, c) of c (-1)^(k~ - b) R^(k + k~ - 2b) T^(2b)
+    # = (-1)^(k~ - u) T^(2u) R^beta c' P_m^(u, beta)(2R^2 - 1), exactly, with
+    # m = min(k, k~) - u, beta = |k~ - k|, and c' = k/k~ when u = 1 and
+    # k > k~, else 1
+    for r in map(Fraction, (0.3, -0.7, 0.55, -0.125)):
+        t2 = 1 - r * r
+        for kn in range(10):
+            for ktn in range(10):
+                level = sum(c * (-1) ** (ktn - b) * r ** (kn + ktn - 2 * b) * t2 ** b
+                            for b, c in class_column(kind, kn, ktn))
+                u = min(1, ktn) if kind == REFLECTION else 0
+                beta = abs(ktn - kn)
+                scale = Fraction(kn, ktn) if u == 1 and kn > ktn else 1
+                jacobi = _jacobi(min(kn, ktn) - u, u, beta, 2 * r * r - 1)
+                assert level == (-1) ** (ktn - u) * t2 ** u * r ** beta * scale * jacobi, \
+                    (kn, ktn, r)
 
 
 def test_transmission_polynomial_part():

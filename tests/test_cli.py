@@ -1,12 +1,14 @@
+import collections
 import gc
 import hashlib
 import os
 import subprocess
+import sys
 
 import pytest
 
 from conftest import BENCH10, launch_cli
-from layered_echo import cli, greens, oracle, transit
+from layered_echo import amplitudes, cli, greens, oracle, read_medium, transit
 from layered_echo.errors import LayeredEchoError
 
 
@@ -191,6 +193,31 @@ def test_oracle_fails_when_the_train_lacks_a_vector(tmp_path, capsys, monkeypatc
     assert "class count mismatches: 0\n" in out
     assert "missing transit vectors: 2\n" in out  # one per kind
     assert len([line for line in err.splitlines() if "missing" in line]) == 2
+
+
+def test_oracle_builds_each_class_column_once(capsys, monkeypatch):
+    # the class check reads one column memo per kind per run: each distinct
+    # (kind, k_n, k~_n) column is built once, however many vectors have it
+    medium = read_medium(BENCH10)
+    want = set()
+    for kind in (transit.REFLECTION, transit.TRANSMISSION):
+        for _, text, _ in greens.arrivals(medium, kind, 2.5):
+            k = transit.parse_k(text)
+            want.update((kind, kn, ktn) for kn, ktn in zip(k, transit.left_shift(k)))
+    built = collections.Counter()
+    column = amplitudes.class_column
+
+    def counted(kind, kn, ktn):
+        # layer_factor builds its own columns for the closed form's sums
+        if sys._getframe(1).f_code is not amplitudes.layer_factor.__code__:
+            built[kind, kn, ktn] += 1
+        return column(kind, kn, ktn)
+
+    monkeypatch.setattr(amplitudes, "class_column", counted)
+    assert cli.main(["oracle", "--medium", str(BENCH10), "--cutoff", "2.5"]) == 0
+    assert "class count mismatches: 0\n" in capsys.readouterr().out
+    assert set(built) == want
+    assert set(built.values()) == {1}
 
 
 def _oracle_with_edited_classes(tmp_path, capsys, monkeypatch, edit):

@@ -564,6 +564,16 @@ def test_read_train_csv_refuses_what_write_train_csv_never_writes(text, line_no)
     assert "malformed train row" in str(err.value)
 
 
+def test_malformed_train_row_is_shown_as_read():
+    # a row refused only for the "\r" the stream left in it shows that "\r"
+    with pytest.raises(ParseError) as err:
+        read_train_csv(io.StringIO("time,amplitude\r\n1,0.5\r\n"))
+    assert str(err.value) == "line 2: malformed train row '1,0.5\\r'"
+    with pytest.raises(ParseError) as err:
+        read_train_csv(io.StringIO("time,amplitude\n1,0.5\n 2,x \n"))
+    assert str(err.value) == "line 3: malformed train row ' 2,x '"
+
+
 def test_read_train_csv_reads_whitespace_around_values():
     # float() reads the spaces; the k column takes none
     text = "time,amplitude,k\n 1 ,\t0.5\t,1|2\n2.0, -0.25,3\n"

@@ -241,6 +241,18 @@ def test_lines_end_at_lf_crlf_and_cr(end):
         read_medium(io.StringIO(text))
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_non_ascii_byte_is_reported_at_its_line(tmp_path, end):
+    # lines end as the parser ends them, the blank line 3 counted too
+    data = end.join(["taur v1 M=1", "1.0 0.5", "", "\xff 0.5", ""]).encode("latin-1")
+    path = tmp_path / "bad.taur"
+    path.write_bytes(data)
+    for source in (path, io.TextIOWrapper(io.BytesIO(data), encoding="ascii")):
+        with pytest.raises(ParseError, match="^line 4: non-ASCII byte 0xff$") as exc:
+            read_medium(source)
+        assert exc.value.line_no == 4
+
+
 def test_medium_is_hashable_and_immutable(bench10):
     hash(bench10)
     with pytest.raises(Exception):

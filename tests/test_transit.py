@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -216,3 +217,34 @@ def test_terms_come_in_lexicographic_order_and_sort_on_time_alone(kind, taus, ta
     train = greens._build_train(m, cutoff, kind, 0.0)
     want = [(t.hex(), k, a.hex()) for t, k, a in sorted(rows)]
     assert list(zip(map(float.hex, train.times), train.ks, map(float.hex, train.amps))) == want
+
+
+class _CountedFactors:
+    """A factor mapping that counts how often each key is asked of it."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.asks = collections.Counter()
+
+    def __getitem__(self, key):
+        self.asks[key] += 1
+        return self.factors[key]
+
+
+@pytest.mark.parametrize("kind, cutoff", [(REFLECTION, 3.5), (TRANSMISSION, 2.8)])
+def test_terms_asks_each_factor_once(bench10, kind, cutoff):
+    # a node looks its factor row up once and a child reads it by its own
+    # entry, so the mapping is asked once per distinct (n, k_n, k_{n+1}),
+    # and for exactly the keys of the factors the vectors multiply
+    factors = _CountedFactors(layer_factors(kind, bench10.reflections))
+    rows = list(transit.terms(bench10, kind, cutoff, factors))
+    assert rows == list(transit.terms(bench10, kind, cutoff,
+                                      layer_factors(kind, bench10.reflections)))
+    used = set()
+    for _, text, _ in rows:
+        k = transit.parse_k(text)
+        # a reflection vector multiplies the factors of its support alone
+        size = k.index(0) if kind == REFLECTION and 0 in k else len(k)
+        used.update(zip(range(size), k, left_shift(k)))
+    assert set(factors.asks) == used
+    assert set(factors.asks.values()) == {1}
