@@ -34,7 +34,6 @@ from .transit import (
     REFLECTION,
     TRANSMISSION,
     TransitVector,
-    branch_set,
     enumerate_reflection,
     enumerate_transmission,
     left_shift,
@@ -67,7 +66,6 @@ __all__ = [
     "TRANSMISSION",
     "TransitVector",
     "amplitude",
-    "branch_set",
     "convolve",
     "enumerate_reflection",
     "enumerate_transmission",

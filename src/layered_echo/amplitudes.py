@@ -15,7 +15,8 @@ into a product over indices of small one-dimensional sums.  That is how
 it is evaluated here: per index n, sum the n-th factor over the admissible
 b_n, then multiply the per-index sums.  This costs O(sum of range lengths)
 per vector instead of the size of the full branch set.  The sums and the
-class table read index n's binomials from one place, ``class_column``.
+class tables (``class_tables``) read index n's binomials from one place,
+``class_column``.
 
 The terms of a per-index sum alternate in sign, and at large transit
 counts their magnitudes (binomials of order 2^(k_n + k~_n) times powers of
@@ -33,11 +34,10 @@ sqrt(1 - R_n^2) factor per index.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
-from .transit import (REFLECTION, TRANSMISSION, TransitVector, _int_entries, _Memo,
-                      branch_range, left_shift)
+from .transit import REFLECTION, TRANSMISSION, TransitVector, _Memo, branch_range, left_shift
 
 
 def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
@@ -109,12 +109,6 @@ def _exact_sum(r: float, kn: int, ktn: int, un: int, hi: int,
     return total * p ** (kn + ktn - 2 * hi) / q ** (kn + ktn)  # correctly rounded
 
 
-def layer_factors(kind: str, refls: Sequence[float]) -> Mapping:
-    """``layer_factor(kind, refls[n], k_n, k~_n)`` by key (n, k_n, k~_n),
-    each evaluated once, on first lookup."""
-    return _Memo(lambda key: layer_factor(kind, refls[key[0]], key[1], key[2]))
-
-
 def _amplitude(kind: str, refls: Sequence[float], tv: TransitVector) -> float:
     if tv.kind != kind:
         raise InvalidTransitVector(f"expected {kind} kind, got {tv.kind}")
@@ -154,17 +148,17 @@ def kunetz_primary(refls: Sequence[float], n: int) -> float:
     return out
 
 
-def class_table(kind: str, k: Sequence[int]) -> Dict[Tuple[int, ...], int]:
-    """Exact number of scattering sequences in every branch class (k, b) of
-    an unvalidated k of this kind, by b in ``transit.branch_set`` order: the
-    product over n of ``class_column(kind, k_n, k~_n)``'s counts."""
-    return _class_tables(kind)(k)
-
-
-def _class_tables(kind: str) -> Callable[[Sequence[int]], Dict[Tuple[int, ...], int]]:
-    """``class_table(kind, k)`` as a function of k that reads every column
-    from one memo kept as long as the function: each distinct (k_n, k~_n)
-    column is built once, however many vectors have it."""
+def class_tables(kind: str) -> Callable[[Sequence[int]], Dict[Tuple[int, ...], int]]:
+    """The class table of this kind as a function of an unvalidated k: the
+    exact number of scattering sequences in every branch class (k, b), by b
+    in lexicographic order over the branch set, the product over n of
+    ``class_column(kind, k_n, k~_n)``'s counts.  A b outside the branch set
+    has no entry.  Every column is read from one memo kept as long as the
+    function, so each distinct (k_n, k~_n) column is built once, however
+    many vectors have it.  DomainError for a kind other than REFLECTION and
+    TRANSMISSION."""
+    if kind not in (REFLECTION, TRANSMISSION):
+        raise DomainError(f"unknown kind {kind!r}")
     columns = _Memo(lambda key: class_column(kind, *key))
 
     def fold(k: Sequence[int]) -> Dict[Tuple[int, ...], int]:
@@ -175,16 +169,6 @@ def _class_tables(kind: str) -> Callable[[Sequence[int]], Dict[Tuple[int, ...], 
         return table
 
     return fold
-
-
-def class_count(tv: TransitVector, b: Sequence[int]) -> int:
-    """``class_table(tv.kind, tv.k)[b]``, the product of ``class_column``'s
-    counts; DomainError unless b is in k's branch set."""
-    b = _int_entries(b, DomainError)
-    table = class_table(tv.kind, tv.k)
-    if b not in table:
-        raise DomainError(f"b = {b} is not in the branch set of k = {tv.k}")
-    return table[b]
 
 
 def class_weight(refls: Sequence[float], tv: TransitVector,

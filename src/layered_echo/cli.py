@@ -34,7 +34,7 @@ from itertools import chain
 from typing import Optional
 
 from . import goupillaud, greens, oracle
-from .amplitudes import _class_tables
+from .amplitudes import class_tables
 from .errors import DomainError, LayeredEchoError
 from .medium import read_medium, write_medium
 from .transit import REFLECTION, TRANSMISSION, parse_k
@@ -156,7 +156,7 @@ def _cmd_oracle(args) -> int:
         # the walks found outside the formula's set against 0
         n_classes = len(counts)
         # one column memo per kind per run, not one per vector
-        class_table = _class_tables(kind)
+        class_table = class_tables(kind)
         for k in chain(closed, lacking):
             for b, expected in class_table(k).items():
                 mismatches += _class_mismatch(kind, k, b, counts.pop((k, b), 0), expected)

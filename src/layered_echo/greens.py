@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, List, TextIO, Tuple
 
 from . import transit
-from .amplitudes import layer_factors
+from .amplitudes import layer_factor
 # unused here; kept importable because bench/tracer.py patches
 # greens.reflection_amplitude and greens.transmission_amplitude by name
 from .amplitudes import reflection_amplitude, transmission_amplitude
@@ -89,7 +89,9 @@ def arrivals(medium: Medium, kind: str, cutoff: float) -> Iterator[Tuple[float, 
     in increasing lexicographic order of k, as ``transit.terms`` yields them."""
     if not math.isfinite(cutoff):
         raise DomainError(f"cutoff must be finite, got {cutoff}")
-    return transit.terms(medium, kind, cutoff, layer_factors(kind, medium.reflections))
+    refls = medium.reflections
+    return transit.terms(medium, kind, cutoff,
+                         lambda n, kn, ktn: layer_factor(kind, refls[n], kn, ktn))
 
 
 def _build_train(medium: Medium, cutoff: float, kind: str,
@@ -128,7 +130,7 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
     Distinct transit vectors can arrive simultaneously when travel times
     are commensurate; floating accumulation may spread such a tie over a
     few ulps.  A term t_j joins the current group when |t_j - t_g| <=
-    tol_rel * max(t_j, first arrival), where t_g is the time of the group's
+    tol_rel * max(|t_j|, |first arrival|), where t_g is the time of the group's
     first term, which the merged term keeps; so a group never spans more
     than that tolerance, however many terms it chains.  The merged term
     also keeps the lexicographically smallest contributing transit vector,
@@ -145,7 +147,7 @@ def merge_ties(train: PulseTrain, tol_rel: float = DEFAULT_MERGE_TOL) -> PulseTr
     t_g = floor
     for j in range(1, len(times)):
         t = times[j]
-        if not abs(t - t_g) <= tol_rel * max(t, floor):
+        if not abs(t - t_g) <= tol_rel * max(abs(t), abs(floor)):
             starts.append(j)
             t_g = t
     starts.append(len(times))

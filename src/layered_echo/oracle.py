@@ -152,8 +152,8 @@ def enumerate_sequences(medium: Medium, kind: str,
     soon as the time spent plus the cheapest exit exceeds the cutoff.  The
     search carries the path alone; ``stats`` and ``weight`` read k, b and
     the weight off each walk it yields.  Raises EnumerationLimitExceeded
-    past ``transit.MAX_TERMS`` walks and DomainError for a non-finite
-    cutoff.
+    past ``transit.MAX_TERMS`` walks, and DomainError for a non-finite
+    cutoff or an unknown kind.
     """
     if not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
@@ -174,7 +174,7 @@ def enumerate_sequences(medium: Medium, kind: str,
             exit_cost[v] = acc
         end = m + 1
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise DomainError(f"unknown kind {kind!r}")
     reflection = kind == REFLECTION
     t0 = half[0]
     if t0 + exit_cost[0] > cutoff:
@@ -239,7 +239,7 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
     tested against, but agree with it to a bound on rounding.  Raises
     EnumerationLimitExceeded as soon as more than ``transit.MAX_TERMS``
     states (the root included) are made, and DomainError for a non-finite
-    cutoff.
+    cutoff or an unknown kind.
     """
     if not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
@@ -267,7 +267,7 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
         k, b = (0,) + (-1,) * m, (-1,) * (m + 1)
         alive = climbs[k, 0]
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise DomainError(f"unknown kind {kind!r}")
     reflection = kind == REFLECTION
     sums: Dict[Tuple[int, ...], float] = {}
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}

@@ -1,4 +1,4 @@
-"""Transit count vectors: enumeration, branch sets and arrival times.
+"""Transit count vectors: enumeration, branch ranges and arrival times.
 
 A reflection transit vector k has k_0 = 1 and prefix support (k_n = 0
 forces k_{n+1} = 0); a transmission transit vector has k_0 = 0 with
@@ -24,17 +24,22 @@ once per node: a node that fixes k_n takes the row s_{n-1}(k_{n-1}, .)
 once, and its children read it by k_n alone.  A vector is carried as its
 text, the CSV k field ("1|3|0"): each node's text is its parent's plus one
 "|k_n", so the search builds no k tuple; ``parse_k`` parses a text back
-where a caller wants the entries.
+where a caller wants the entries.  The factor rows last one search and are
+its only cache of factors, so the caller's ``factor`` function is called
+once per key.
+
+``branch_range`` gives the admissible branch counts b_n of one index; their
+Cartesian product over n is the branch set of k, whose classes
+``amplitudes.class_tables`` counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from typing import Callable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
-from .errors import EnumerationLimitExceeded, InvalidTransitVector
+from .errors import DomainError, EnumerationLimitExceeded, InvalidTransitVector
 from .medium import Medium
 
 REFLECTION = "reflection"
@@ -90,24 +95,14 @@ def left_shift(k: Sequence[int]) -> Tuple[int, ...]:
 def branch_range(kind: str, kn: int, ktn: int) -> range:
     """The admissible b_n of index n, u_n..min(k_n, k~_n): u_n = min(1, k~_n)
     for reflection and 0 for transmission.  Empty for a reflection index
-    with k_n = 0 < k~_n."""
-    return range(min(1, ktn) if kind == REFLECTION else 0, min(kn, ktn) + 1)
-
-
-def branch_set(tv: TransitVector) -> List[Tuple[int, ...]]:
-    """All admissible branch count vectors for k, in lexicographic order:
-    the Cartesian product of the ``branch_range`` of every index."""
-    k = tv.k
-    return list(product(*(branch_range(tv.kind, kn, ktn)
-                          for kn, ktn in zip(k, left_shift(k)))))
-
-
-def arrival_time(k: Sequence[int], taus: Sequence[float]) -> float:
-    """<k, tau> accumulated left to right (the canonical summation order)."""
-    t = k[0] * taus[0]
-    for n in range(1, len(k)):
-        t = t + k[n] * taus[n]
-    return t
+    with k_n = 0 < k~_n.  DomainError for any other kind."""
+    if kind == REFLECTION:
+        un = min(1, ktn)
+    elif kind == TRANSMISSION:
+        un = 0
+    else:
+        raise DomainError(f"unknown kind {kind!r}")
+    return range(un, min(kn, ktn) + 1)
 
 
 def half_total_time(medium: Medium) -> float:
@@ -119,8 +114,13 @@ def half_total_time(medium: Medium) -> float:
 
 
 def reflection_arrival(k: Sequence[int], medium: Medium) -> float:
-    """Arrival time of a reflection echo, identical floats to the enumerator."""
-    return arrival_time(k, medium.layer_taus)
+    """Arrival time of a reflection echo, identical floats to the enumerator:
+    <k, tau> accumulated left to right (the canonical summation order)."""
+    taus = medium.layer_taus
+    t = k[0] * taus[0]
+    for n in range(1, len(k)):
+        t = t + k[n] * taus[n]
+    return t
 
 
 def transmission_arrival(k: Sequence[int], medium: Medium) -> float:
@@ -160,25 +160,20 @@ def parse_k(text: str) -> Tuple[int, ...]:
     return tuple(map(int, text.split("|"))) if text else ()
 
 
-def _factor_row(factors: Mapping, n: int, kn: int) -> Mapping:
-    """k_{n+1} -> factors[n, k_n, k_{n+1}], each asked once, on first lookup."""
-    return _Memo(lambda kt: factors[n, kn, kt])
-
-
 def terms(medium: Medium, kind: str, cutoff: float,
-          factors: Mapping) -> Iterator[Tuple[float, str, float]]:
+          factor: Callable[[int, int, int], float]) -> Iterator[Tuple[float, str, float]]:
     """Yield (arrival, k text, amplitude) for every transit vector k arriving by the cutoff.
 
     The k text is ``format_k(k)``, e.g. "1|3|0"; ``parse_k`` parses it back.
     The arrival is ``reflection_arrival(k)`` or ``transmission_arrival(k)``;
     the comparison with the cutoff is inclusive, and nothing is yielded if
-    the first arrival is already late.  ``factors[n, k_n, k_{n+1}]`` is the
-    per-layer factor s_n (see ``amplitudes.layer_factors``); the search
+    the first arrival is already late.  ``factor(n, k_n, k_{n+1})`` is the
+    per-layer factor s_n (see ``amplitudes.layer_factor``); the search
     multiplies s_n into a running product as soon as it fixes k_{n+1}, so
     the amplitude is the product of s_0 .. s_M in that order.  Factor rows
     are looked up once per node: a node takes the row s_{n-1}(k_{n-1}, .)
-    once and each child reads it by k_n, and ``factors`` is asked each key
-    once, on first lookup.  A reflection vector is emitted at the end of its
+    once and each child reads it by k_n, so ``factor`` is called for each key
+    once per search.  A reflection vector is emitted at the end of its
     support, where the remaining factors s(0, 0) are exactly 1.0 and are not
     multiplied in.  The vectors come in strictly increasing lexicographic
     order of k, for both kinds: the depth-first search visits children in
@@ -190,16 +185,19 @@ def terms(medium: Medium, kind: str, cutoff: float,
     Raises EnumerationLimitExceeded if and only if more than MAX_TERMS
     vectors arrive: the search counts each node's children after making
     them, so a few past the limit may be yielded before it raises, and stops
-    at once when one node surely has too many.
+    at once when one node surely has too many.  DomainError for an unknown
+    kind.
     """
     taus = medium.layer_taus
     m1 = len(taus)
     if kind == REFLECTION:
         # k_0 = 1; every prefix is a vector, padded with zeros; k_n >= 1 inside it
         k0, t0, first, emit_all = 1, 1 * taus[0], 1, True
-    else:
+    elif kind == TRANSMISSION:
         # k_0 = 0; only full-length vectors arrive; k_n >= 0
         k0, t0, first, emit_all = 0, half_total_time(medium), 0, False
+    else:
+        raise DomainError(f"unknown kind {kind!r}")
     if t0 > cutoff:
         return
     # vectors still allowed: every reflection node counts (the root now, the
@@ -213,8 +211,8 @@ def terms(medium: Medium, kind: str, cutoff: float,
     pads = _Memo("|0".__mul__)
     # rows[n - 1][k_{n-1}] is the factor row of a node that fixes k_n, and
     # tail[k_M] is s_M(k_M, 0)
-    rows = [_Memo(partial(_factor_row, factors, n)) for n in range(last)]
-    tail = _Memo(lambda kn: factors[last, kn, 0])
+    rows = [_Memo(lambda kp, n=n: _Memo(partial(factor, n, kp))) for n in range(last)]
+    tail = _Memo(lambda kn: factor(last, kn, 0))
     # (index n of the next entry to fix, k_{n-1}, text of k_0 .. k_{n-1},
     # time so far, s_0 * .. * s_{n-2}); an explicit stack, so a yield costs
     # O(1) at any depth
@@ -261,11 +259,11 @@ def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVecto
     """Yield every reflection transit vector with <k, tau> <= cutoff, once each,
     in increasing lexicographic order of k."""
     return (TransitVector(parse_k(k), REFLECTION)
-            for _, k, _ in terms(medium, REFLECTION, cutoff, _Memo(lambda key: 1.0)))
+            for _, k, _ in terms(medium, REFLECTION, cutoff, lambda *key: 1.0))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every transmission transit vector arriving by the cutoff, once
     each, in increasing lexicographic order of k."""
     return (TransitVector(parse_k(k), TRANSMISSION)
-            for _, k, _ in terms(medium, TRANSMISSION, cutoff, _Memo(lambda key: 1.0)))
+            for _, k, _ in terms(medium, TRANSMISSION, cutoff, lambda *key: 1.0))

@@ -28,17 +28,19 @@ REFLECT_TERMS = 19242
 TRANSMIT_TERMS = 35059
 
 
-def launch_cli(*args, env_extra=None, launch=subprocess.run, **kwargs):
+def launch_cli(*args, env_extra=None, launch=subprocess.run,
+               entry=("-m", "layered_echo"), **kwargs):
     """Start ``python -S -m layered_echo ARGS``: the one way the tests run the CLI.
 
     ``-S`` drops site-packages, so every CLI test also checks that the
-    package needs the standard library alone.  ``launch`` is
+    package needs the standard library alone.  ``entry`` replaces
+    ``-m layered_echo``, e.g. by ``-c CODE``.  ``launch`` is
     ``subprocess.run`` or ``subprocess.Popen``; ``kwargs`` go to it.
     """
     env = {**os.environ, **(env_extra or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
-    return launch([sys.executable, "-S", "-m", "layered_echo", *args],
+    return launch([sys.executable, "-S", *entry, *args],
                   env=env, text=True, **kwargs)
 
 

@@ -2,12 +2,13 @@ import collections
 import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import BENCH10, launch_cli
+from conftest import BENCH10, REPO_ROOT, launch_cli
 from layered_echo import amplitudes, cli, greens, oracle, read_medium, transit
 from layered_echo.errors import LayeredEchoError
 
@@ -868,3 +869,16 @@ def test_main_builds_its_parser_once_and_a_namespace_per_call(tmp_path, capsys, 
     assert sorted(vars(seen[1])) == ["command", "dt", "func", "n", "out", "t0", "train",
                                      "wavelet"]
     assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+def test_console_script_runs_outside_the_checkout(tmp_path):
+    # an installed console script runs sys.exit(target()) for its
+    # [project.scripts] entry; make the same call from a directory that holds
+    # no package, as CI's install step does online
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)",
+                        (REPO_ROOT / "pyproject.toml").read_text(), re.M | re.S).group(1)
+    module, func = re.search(r'^layered-echo = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    res = launch_cli("reflect", "--medium", str(BENCH10), "--cutoff", "2", "--out", "/dev/null",
+                     entry=("-c", code), cwd=tmp_path, capture_output=True, timeout=60)
+    assert (res.returncode, res.stdout) == (0, ""), res.stderr

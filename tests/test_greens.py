@@ -290,6 +290,15 @@ def test_merge_zero_tol_only_bit_identical():
     assert merged.amps[0] == 0.75
 
 
+@pytest.mark.parametrize("tol_rel", [0.0, greens.DEFAULT_MERGE_TOL])
+def test_merge_joins_bit_identical_negative_times(tol_rel):
+    # a train read from CSV may hold times before zero; the tolerance scales
+    # with their magnitude, so equal negative times merge at any tol_rel
+    train = read_train_csv(io.StringIO("time,amplitude\n-1.0,0.5\n-1.0,0.25\n"))
+    merged = merge_ties(train, tol_rel)
+    assert (merged.times, merged.amps) == ((-1.0,), (0.75,))
+
+
 def test_merged_train_matches_oracle_arrival_groups():
     rng = random.Random(21)
     for m_layers in (1, 2, 3):

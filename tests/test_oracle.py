@@ -13,7 +13,6 @@ from layered_echo import (
     REFLECTION,
     TRANSMISSION,
     TransitVector,
-    branch_set,
     enumerate_reflection,
     enumerate_transmission,
     make_medium,
@@ -22,7 +21,7 @@ from layered_echo import (
     transmission_green,
 )
 from layered_echo import transit
-from layered_echo.amplitudes import class_count
+from layered_echo.amplitudes import class_tables
 from layered_echo.oracle import (
     ScatteringSequence,
     class_counts,
@@ -201,11 +200,11 @@ def test_class_counts_match_tree_products():
         counts = class_counts(m, REFLECTION, 8.0)
         assert counts
         for (k, b), n in counts.items():
-            assert n == class_count(TransitVector(k, REFLECTION), b)
+            assert n == class_tables(REFLECTION)(k)[b]
         tcounts = class_counts(m, TRANSMISSION, 0.5 * (m_layers + 1) + 8.0)
         assert tcounts
         for (k, b), n in tcounts.items():
-            assert n == class_count(TransitVector(k, TRANSMISSION), b)
+            assert n == class_tables(TRANSMISSION)(k)[b]
 
 
 def test_class_count_small_examples():
@@ -234,7 +233,7 @@ def test_branch_set_matches_oracle_branch_vectors():
             for tv in enum(m, extra + 8.0):
                 if sum(tv.k) > 8:
                     continue
-                assert observed.get(tv.k, set()) == set(branch_set(tv))
+                assert observed.get(tv.k, set()) == set(class_tables(kind)(tv.k))
 
 
 def test_weight_sums_match_closed_form_per_vector():
@@ -256,7 +255,7 @@ def test_classes_are_whole_at_an_exact_arrival(cutoff):
     for kind, build in ((REFLECTION, reflection_green),
                         (TRANSMISSION, transmission_green)):
         for (k, b), n in class_counts(m, kind, cutoff).items():
-            assert n == class_count(TransitVector(k, kind), b)
+            assert n == class_tables(kind)(k)[b]
         assert weight_sums_by_vector(m, kind, cutoff).keys() == set(build(m, cutoff).ks)
 
 

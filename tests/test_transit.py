@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,16 +11,15 @@ from layered_echo import (
     REFLECTION,
     TRANSMISSION,
     TransitVector,
-    branch_set,
     enumerate_reflection,
     enumerate_transmission,
     left_shift,
     make_medium,
 )
-from layered_echo import greens, transit
-from layered_echo.amplitudes import layer_factors
+from layered_echo import greens, oracle, transit
+from layered_echo.amplitudes import class_column, class_tables, layer_factor
+from layered_echo.errors import DomainError
 from layered_echo.transit import (
-    arrival_time,
     reflection_arrival,
     transmission_arrival,
 )
@@ -68,6 +68,11 @@ def test_transit_vector_refuses(k, kind):
 def test_transit_vector_reads_integral_floats_as_ints():
     assert rvec(1.0, 2.0, 0.0).k == (1, 2, 0)
     assert all(type(x) is int for x in rvec(1.0, 2.0, 0.0).k)
+
+
+def branch_set(tv):
+    """The branch set of k: the keys of its class table, in their order."""
+    return list(class_tables(tv.kind)(tv.k))
 
 
 def test_branch_set_primary_is_singleton():
@@ -120,8 +125,9 @@ def test_emitted_vectors_satisfy_kind_invariants():
         assert tv.k[0] == 0
 
 
-def _box_reference_reflection(taus, cutoff):
+def _box_reference_reflection(m, cutoff):
     """Exhaustive integer-box filter, independent of the DFS."""
+    taus = m.layer_taus
     bounds = [int(cutoff // t) + 1 for t in taus]
     out = set()
     for k in itertools.product(*(range(b + 1) for b in bounds)):
@@ -129,18 +135,20 @@ def _box_reference_reflection(taus, cutoff):
             continue
         if any(a == 0 and b != 0 for a, b in zip(k, k[1:])):
             continue
-        if arrival_time(k, taus) <= cutoff:
+        if reflection_arrival(k, m) <= cutoff:
             out.add(k)
     return out
 
 
-def _box_reference_transmission(taus, base, cutoff):
+def _box_reference_transmission(m, base, cutoff):
     """Transmission vectors by the same exhaustive filter: k_0 = 0, any k_n >= 0."""
+    taus = m.layer_taus
     bounds = [int(cutoff // t) + 1 for t in taus[1:]]
     out = set()
     for rest in itertools.product(*(range(b + 1) for b in bounds)):
         k = (0,) + rest
-        if base + arrival_time(k, taus) <= cutoff:
+        # k_0 = 0, so this is <k, tau> summed left to right
+        if base + reflection_arrival(k, m) <= cutoff:
             out.add(k)
     return out
 
@@ -152,10 +160,10 @@ def test_enumeration_completeness_against_box_filter():
         m = make_medium(taus, 0.0, (0.1,) * (m_layers + 1))
         cutoff = 9.0
         got = {tv.k for tv in enumerate_reflection(m, cutoff)}
-        assert got == _box_reference_reflection(taus, cutoff)
+        assert got == _box_reference_reflection(m, cutoff)
         # integer taus: |tau'|/2 and every <k, tau> are exact
         got = {tv.k for tv in enumerate_transmission(m, cutoff)}
-        assert got == _box_reference_transmission(taus, sum(taus) / 2, cutoff)
+        assert got == _box_reference_transmission(m, sum(taus) / 2, cutoff)
         assert len(got) > 1
 
 
@@ -210,7 +218,7 @@ def test_terms_come_in_lexicographic_order_and_sort_on_time_alone(kind, taus, ta
     cutoff = first + span
     # the rows carry k as its text; compare the parsed int tuples
     rows = [(t, transit.parse_k(k), a)
-            for t, k, a in transit.terms(m, kind, cutoff, layer_factors(kind, m.reflections))]
+            for t, k, a in greens.arrivals(m, kind, cutoff)]
     ks = [k for _, k, _ in rows]
     assert all(a < b for a, b in zip(ks, ks[1:]))
     # the build sorts on time alone; that must be exactly the (time, k) sort
@@ -219,32 +227,46 @@ def test_terms_come_in_lexicographic_order_and_sort_on_time_alone(kind, taus, ta
     assert list(zip(map(float.hex, train.times), train.ks, map(float.hex, train.amps))) == want
 
 
-class _CountedFactors:
-    """A factor mapping that counts how often each key is asked of it."""
-
-    def __init__(self, factors):
-        self.factors = factors
-        self.asks = collections.Counter()
-
-    def __getitem__(self, key):
-        self.asks[key] += 1
-        return self.factors[key]
-
-
 @pytest.mark.parametrize("kind, cutoff", [(REFLECTION, 3.5), (TRANSMISSION, 2.8)])
 def test_terms_asks_each_factor_once(bench10, kind, cutoff):
     # a node looks its factor row up once and a child reads it by its own
-    # entry, so the mapping is asked once per distinct (n, k_n, k_{n+1}),
+    # entry, so the function is called once per distinct (n, k_n, k_{n+1}),
     # and for exactly the keys of the factors the vectors multiply
-    factors = _CountedFactors(layer_factors(kind, bench10.reflections))
-    rows = list(transit.terms(bench10, kind, cutoff, factors))
-    assert rows == list(transit.terms(bench10, kind, cutoff,
-                                      layer_factors(kind, bench10.reflections)))
+    asks = collections.Counter()
+
+    def counted(n, kn, ktn):
+        asks[n, kn, ktn] += 1
+        return layer_factor(kind, bench10.reflections[n], kn, ktn)
+
+    rows = list(transit.terms(bench10, kind, cutoff, counted))
+    assert rows == list(greens.arrivals(bench10, kind, cutoff))
     used = set()
     for _, text, _ in rows:
         k = transit.parse_k(text)
         # a reflection vector multiplies the factors of its support alone
         size = k.index(0) if kind == REFLECTION and 0 in k else len(k)
         used.update(zip(range(size), k, left_shift(k)))
-    assert set(factors.asks) == used
-    assert set(factors.asks.values()) == {1}
+    assert set(asks) == used
+    assert set(asks.values()) == {1}
+
+
+# every function that reads a kind, called on one small medium
+_KIND_READERS = {
+    "branch_range": lambda kind, m: transit.branch_range(kind, 2, 1),
+    "class_column": lambda kind, m: class_column(kind, 2, 1),
+    "layer_factor": lambda kind, m: layer_factor(kind, 0.5, 2, 1),
+    "terms": lambda kind, m: list(transit.terms(m, kind, 3.0, lambda *key: 1.0)),
+    "arrivals": lambda kind, m: list(greens.arrivals(m, kind, 3.0)),
+    "class_tables": lambda kind, m: class_tables(kind),
+    "tally": lambda kind, m: oracle.tally(m, kind, 3.0),
+    "enumerate_sequences": lambda kind, m: list(oracle.enumerate_sequences(m, kind, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", ["echo", "Reflection", ""])
+@pytest.mark.parametrize("read", _KIND_READERS.values(), ids=list(_KIND_READERS))
+def test_an_unknown_kind_is_refused(read, kind):
+    # neither a near miss nor an empty kind may fall through to transmission
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    with pytest.raises(DomainError, match=re.escape(f"unknown kind {kind!r}")):
+        read(kind, m)
