@@ -137,8 +137,8 @@ def _cmd_oracle(args) -> int:
     mismatches = 0
     missing = 0
     for kind in kinds:
-        closed = {parse_k(text): amp
-                  for _, text, amp in greens.arrivals(medium, kind, args.cutoff)}
+        closed = {parse_k(head + tail): amp
+                  for _, head, tail, amp in greens.arrivals(medium, kind, args.cutoff)}
         sums, counts = oracle.tally(medium, kind, args.cutoff)
         if args.corrupt and closed:
             closed[next(iter(closed))] += 1e-3  # test hook: force a detectable deviation
@@ -182,7 +182,7 @@ def _cmd_lattice(args) -> int:
         # each row goes into its nearest slot as it comes, summing tied arrivals
         t0, period, n = times[0], result.period, len(times)
         binned = [0.0] * n
-        for t, _, amp in greens.arrivals(medium, kind, times[-1] * (1.0 + 1e-12)):
+        for t, _, _, amp in greens.arrivals(medium, kind, times[-1] * (1.0 + 1e-12)):
             j = round((t - t0) / period)
             if 0 <= j < n:
                 binned[j] += amp

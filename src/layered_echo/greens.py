@@ -9,8 +9,9 @@ A train is a frozen dataclass of three parallel tuples, ``times``,
 ``amps`` and ``k_text``, and of nothing else (no kind, no cutoff); the
 builders, ``merge_ties``, ``read_train_csv``, ``write_train_csv`` and
 ``convolve`` work on them.  A transit vector is kept as its CSV text,
-"1|3|0" (``transit.format_k``), which the search builds once per vector
-and ``write_train_csv`` writes as it is.  The ``ks`` tuples are made only
+"1|3|0" (``transit.format_k``), which a build joins once per vector from
+the two parts of the search's row as the row comes, and
+``write_train_csv`` writes as it is.  The ``ks`` tuples are made only
 when that property is read, anew each time.  The transit vectors are
 provenance: ``read_train_csv`` checks a k column but keeps none of it,
 so every term it reads has the text "" and k = ().
@@ -84,9 +85,12 @@ class SampledSignal:
         return [self.t0 + i * self.dt for i in range(len(self.samples))]
 
 
-def arrivals(medium: Medium, kind: str, cutoff: float) -> Iterator[Tuple[float, str, float]]:
-    """The closed form's (arrival, k text, amplitude) rows up to the cutoff,
-    in increasing lexicographic order of k, as ``transit.terms`` yields them."""
+def arrivals(medium: Medium, kind: str,
+             cutoff: float) -> Iterator[Tuple[float, str, str, float]]:
+    """The closed form's (arrival, head, tail, amplitude) rows up to the
+    cutoff, in increasing lexicographic order of k, as ``transit.terms``
+    yields them: the k text is ``head + tail``.  DomainError for a
+    non-finite cutoff or an unknown kind, at the call."""
     if not math.isfinite(cutoff):
         raise DomainError(f"cutoff must be finite, got {cutoff}")
     refls = medium.reflections
@@ -99,12 +103,14 @@ def _build_train(medium: Medium, cutoff: float, kind: str,
     rows = arrivals(medium, kind, cutoff)
     if math.isnan(amplitude_floor):
         raise DomainError("amplitude floor must not be nan")
-    # a stable sort on time alone of rows in lexicographic order of k gives
+    # each text is joined as its row comes, so that the search's row tuples
+    # are freed one by one and only (time, text, amplitude) rows are held.
+    # A stable sort on time alone of rows in lexicographic order of k gives
     # the (time, k) order without comparing any k
-    rows = sorted(rows, key=itemgetter(0))
+    rows = sorted(((t, head + tail, amp) for t, head, tail, amp in rows), key=itemgetter(0))
     if amplitude_floor > 0.0:
         rows = [row for row in rows if abs(row[2]) >= amplitude_floor]
-    # the columns share the float and str objects the search made
+    # the columns share the float and str objects the rows hold
     times, texts, amps = zip(*rows) if rows else ((), (), ())
     return PulseTrain(times, amps, texts)
 

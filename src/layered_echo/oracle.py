@@ -20,7 +20,8 @@ the trunk and is excluded from both counts.
 sums over walk states (interface, came_down, k, b), one level per path
 length: walks that share a state share every continuation, so its cost
 follows the number of states, which grows polynomially with the cutoff,
-and it holds that number to ``transit.MAX_TERMS``.  It prunes on the
+and it holds that number to ``transit.MAX_TERMS``.  It keys a state by
+k and b packed into one int each, a digit per index.  It prunes on the
 train search's own arrival floats, so it keeps or drops each class whole.
 
 ``enumerate_sequences`` is the reference it is tested against: a
@@ -47,6 +48,7 @@ from .transit import (
     TransitVector,
     _int_entries,
     _Memo,
+    half_total_time,
     reflection_arrival,
     transmission_arrival,
 )
@@ -153,10 +155,17 @@ def enumerate_sequences(medium: Medium, kind: str,
     search carries the path alone; ``stats`` and ``weight`` read k, b and
     the weight off each walk it yields.  Raises EnumerationLimitExceeded
     past ``transit.MAX_TERMS`` walks, and DomainError for a non-finite
-    cutoff or an unknown kind.
+    cutoff or an unknown kind, at the call.
     """
     if not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
+    if kind not in (REFLECTION, TRANSMISSION):
+        raise DomainError(f"unknown kind {kind!r}")
+    return _walks(medium, kind, cutoff)
+
+
+def _walks(medium: Medium, kind: str, cutoff: float) -> Iterator[ScatteringSequence]:
+    """The walks of ``enumerate_sequences``, for a cutoff and kind it has checked."""
     m = medium.n_layers
     half = [0.5 * t for t in medium.all_taus]
     exit_cost = [0.0] * (m + 1)
@@ -167,14 +176,12 @@ def enumerate_sequences(medium: Medium, kind: str,
             acc += half[v]
             exit_cost[v] = acc
         end = -1
-    elif kind == TRANSMISSION:
+    else:
         # exit_cost[v]: time to descend from interface v to M+1
         for v in range(m, -1, -1):
             acc += half[v + 1]
             exit_cost[v] = acc
         end = m + 1
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
     reflection = kind == REFLECTION
     t0 = half[0]
     if t0 + exit_cost[0] > cutoff:
@@ -228,6 +235,15 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
     next level; a finished walk adds into ``counts[k, b]`` and ``sums[k]``.
     The cost follows the number of states, not of walks.
 
+    Inside the search k and b are each one int, entry n in digit n of base
+    2^width, and transmission entries are stored plus one, so that the
+    trunk's -1 is a digit too.  A digit holds the largest entry any
+    arriving vector can have, read off the cutoff and the least travel time
+    with the search's own floats, plus the one that a tested step may add;
+    so a step adds the unit of one index, no digit carries into the next,
+    and no two states share a key.  Each distinct k and b is unpacked into
+    an int tuple once, at the end.
+
     A move is pruned when the least arrival of any walk through the state
     it makes is past the cutoff, taken from ``reflection_arrival`` or
     ``transmission_arrival`` (the train search's own floats), which are
@@ -243,42 +259,62 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
     """
     if not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
+    taus = medium.layer_taus
+    if kind == REFLECTION:
+        t0, offset = taus[0], 0
+    elif kind == TRANSMISSION:
+        t0, offset = half_total_time(medium), 1
+    else:
+        raise DomainError(f"unknown kind {kind!r}")
+    reflection = kind == REFLECTION
     m = medium.n_layers
     refls = medium.reflections
     neg = [-r for r in refls]
     trans = [math.sqrt(1.0 - r * r) for r in refls]
-    if kind == REFLECTION:
+    limit = transit.MAX_TERMS
+    # q: the most k_n can be in an arriving vector, the largest q with
+    # t0 + q * tau <= cutoff for the least tau (k_0 is fixed).  No entry
+    # passes the number of states either, so q stops at the limit
+    tau = min(taus[1:])
+    q = int(min(limit, max(0.0, (cutoff - t0) // tau)))
+    while q < limit and t0 + (q + 1) * tau <= cutoff:
+        q += 1
+    while q and t0 + q * tau > cutoff:
+        q -= 1
+    # a state's b_n is at most its k_{n+1}, and a tested vector has at most
+    # one entry past q
+    width = (q + 1 + offset).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * (m + 1), width)
+    unit = [1 << s for s in shifts]
+
+    def unpack(x):
+        return tuple([((x >> s) & mask) - offset for s in shifts])
+
+    if reflection:
         # k never shrinks along a walk and climbing straight out adds nothing
         # to it, so a step down that makes k survives iff k arrives; a step
         # up always does
-        arrives = _Memo(lambda k: reflection_arrival(k, medium) <= cutoff)
-        k, b = (1,) + (0,) * m, (0,) * (m + 1)
-        alive = arrives[k]
-    elif kind == TRANSMISSION:
-        # the cheapest way on from v - 1 goes straight down, crossing every
-        # layer from v to M once more, so a step up from v survives iff that
-        # vector arrives; a step down keeps the cheapest way on it had
-        def straight_down_arrives(key):
-            k, v = key
-            return transmission_arrival(k[:v] + tuple(x + 1 for x in k[v:]), medium) <= cutoff
-
-        climbs = _Memo(straight_down_arrives)
-        # one excursion per level is the trunk; it counts in neither k nor b
-        k, b = (0,) + (-1,) * m, (-1,) * (m + 1)
-        alive = climbs[k, 0]
+        arrives = _Memo(lambda k: reflection_arrival(unpack(k), medium) <= cutoff)
+        alive = arrives[unit[0]]
     else:
-        raise DomainError(f"unknown kind {kind!r}")
-    reflection = kind == REFLECTION
-    sums: Dict[Tuple[int, ...], float] = {}
-    counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+        # the cheapest way on from v - 1 goes straight down, crossing every
+        # layer from v to M once more, so a step up from v survives iff k plus
+        # rest[v] arrives; a step down keeps the cheapest way on it had
+        climbs = _Memo(lambda k: transmission_arrival(unpack(k), medium) <= cutoff)
+        rest = [sum(unit[v:]) for v in range(m + 1)]
+        alive = climbs[unit[0] + rest[0]]
+    sums: Dict[int, float] = {}
+    counts: Dict[Tuple[int, int], int] = {}
     if not alive:
         return sums, counts
-    limit = transit.MAX_TERMS
     too_many = f"more than {limit} {kind} walk states by cutoff {cutoff:g}"
     made = 1  # the root
     if made > limit:
         raise EnumerationLimitExceeded(too_many)
-    level = {(0, True, k, b): [1, 1.0]}
+    # the root: k_0 = 1 for reflection; for transmission k_0 = 0 and every
+    # other entry of k and b is -1, the trunk, which counts in neither
+    level = {(0, True, unit[0], 0): [1, 1.0]}
     while level:
         nxt: Dict[tuple, list] = {}
         get = nxt.get
@@ -301,25 +337,27 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
             # down opens an excursion below v, a branch of the excursion at v
             # unless that one has been deeper already
             if came_down:
-                w_up, w_down = w * refls[v], w * trans[v]
-                b_down = b[:v] + (b[v] + 1,) + b[v + 1:]
+                w_up, w_down, b_down = w * refls[v], w * trans[v], b + unit[v]
             else:
                 w_up, w_down, b_down = w * trans[v], w * neg[v], b
             if v:
-                if reflection or climbs[k, v]:
+                if reflection or climbs[k + rest[v]]:
                     step((v - 1, False, k, b), n, w_up)
             elif reflection:
                 counts[k, b] = counts.get((k, b), 0) + n
                 sums[k] = sums.get(k, 0.0) + w_up
             if v < m:
-                k2 = k[:v + 1] + (k[v + 1] + 1,) + k[v + 2:]
+                k2 = k + unit[v + 1]
                 if not reflection or arrives[k2]:
                     step((v + 1, True, k2, b_down), n, w_down)
             elif not reflection:
                 counts[k, b_down] = counts.get((k, b_down), 0) + n
                 sums[k] = sums.get(k, 0.0) + w_down
         level = nxt
-    return sums, counts
+    vectors = {k: unpack(k) for k in sums}
+    branches = _Memo(unpack)
+    return ({vectors[k]: s for k, s in sums.items()},
+            {(vectors[k], branches[b]): n for (k, b), n in counts.items()})
 
 
 def class_counts(medium: Medium, kind: str, cutoff: float

@@ -22,11 +22,13 @@ the per-layer factor s_n(k_n, k_{n+1}) into a running product, and counts
 the vectors against MAX_TERMS as it makes them.  Factor rows are looked up
 once per node: a node that fixes k_n takes the row s_{n-1}(k_{n-1}, .)
 once, and its children read it by k_n alone.  A vector is carried as its
-text, the CSV k field ("1|3|0"): each node's text is its parent's plus one
-"|k_n", so the search builds no k tuple; ``parse_k`` parses a text back
-where a caller wants the entries.  The factor rows last one search and are
-its only cache of factors, so the caller's ``factor`` function is called
-once per key.
+text, the CSV k field ("1|3|0"), in two parts: each node's text is its
+parent's plus one "|k_n", and a row pairs the text of the node that emits
+it with the "|k_M" or the zero padding that completes it, so the search
+builds no k tuple and joins no row's text; ``parse_k`` parses a joined
+text back where a caller wants the entries.  The factor rows last one
+search and are its only cache of factors, so the caller's ``factor``
+function is called once per key.
 
 ``branch_range`` gives the admissible branch counts b_n of one index; their
 Cartesian product over n is the branch set of k, whose classes
@@ -161,10 +163,14 @@ def parse_k(text: str) -> Tuple[int, ...]:
 
 
 def terms(medium: Medium, kind: str, cutoff: float,
-          factor: Callable[[int, int, int], float]) -> Iterator[Tuple[float, str, float]]:
-    """Yield (arrival, k text, amplitude) for every transit vector k arriving by the cutoff.
+          factor: Callable[[int, int, int], float]) -> Iterator[Tuple[float, str, str, float]]:
+    """Yield (arrival, head, tail, amplitude) for every transit vector k arriving by the cutoff.
 
-    The k text is ``format_k(k)``, e.g. "1|3|0"; ``parse_k`` parses it back.
+    The k text is ``head + tail``, ``format_k(k)``, e.g. "1|3|0"; ``parse_k``
+    parses it back.  ``head`` is the text of the search node that emits the
+    row, one string for every row it emits, and ``tail`` is "|k_M" or the
+    zeros "|0|0" that pad a reflection prefix; a caller that keeps the text
+    joins the two.
     The arrival is ``reflection_arrival(k)`` or ``transmission_arrival(k)``;
     the comparison with the cutoff is inclusive, and nothing is yielded if
     the first arrival is already late.  ``factor(n, k_n, k_{n+1})`` is the
@@ -181,23 +187,29 @@ def terms(medium: Medium, kind: str, cutoff: float,
     children.  A node that fixes the last entry k_M emits its children
     itself, multiplying s_{M-1} and then s_M into the running product, so no
     full vector takes a stack entry.  Each node's prefix text is its
-    parent's plus "|k_n", so a vector's text costs one concatenation.
+    parent's plus "|k_n", so the search makes no string for a row.
     Raises EnumerationLimitExceeded if and only if more than MAX_TERMS
     vectors arrive: the search counts each node's children after making
     them, so a few past the limit may be yielded before it raises, and stops
     at once when one node surely has too many.  DomainError for an unknown
-    kind.
+    kind, at the call.
     """
+    if kind not in (REFLECTION, TRANSMISSION):
+        raise DomainError(f"unknown kind {kind!r}")
+    return _search(medium, kind, cutoff, factor)
+
+
+def _search(medium: Medium, kind: str, cutoff: float,
+            factor: Callable[[int, int, int], float]) -> Iterator[Tuple[float, str, str, float]]:
+    """The rows of ``terms``, for a kind it has checked."""
     taus = medium.layer_taus
     m1 = len(taus)
     if kind == REFLECTION:
         # k_0 = 1; every prefix is a vector, padded with zeros; k_n >= 1 inside it
         k0, t0, first, emit_all = 1, 1 * taus[0], 1, True
-    elif kind == TRANSMISSION:
+    else:
         # k_0 = 0; only full-length vectors arrive; k_n >= 0
         k0, t0, first, emit_all = 0, half_total_time(medium), 0, False
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
     if t0 > cutoff:
         return
     # vectors still allowed: every reflection node counts (the root now, the
@@ -210,9 +222,9 @@ def terms(medium: Medium, kind: str, cutoff: float,
     bars = _Memo("|%d".__mod__)
     pads = _Memo("|0".__mul__)
     # rows[n - 1][k_{n-1}] is the factor row of a node that fixes k_n, and
-    # tail[k_M] is s_M(k_M, 0)
+    # bottom[k_M] is s_M(k_M, 0)
     rows = [_Memo(lambda kp, n=n: _Memo(partial(factor, n, kp))) for n in range(last)]
-    tail = _Memo(lambda kn: factor(last, kn, 0))
+    bottom = _Memo(lambda kn: factor(last, kn, 0))
     # (index n of the next entry to fix, k_{n-1}, text of k_0 .. k_{n-1},
     # time so far, s_0 * .. * s_{n-2}); an explicit stack, so a yield costs
     # O(1) at any depth
@@ -223,7 +235,7 @@ def terms(medium: Medium, kind: str, cutoff: float,
         n, kp, prefix, t, amp = pop()
         row = rows[n - 1][kp]
         if emit_all:
-            yield t, prefix + pads[m1 - n], amp * row[0]
+            yield t, prefix, pads[m1 - n], amp * row[0]
         tau = taus[n]
         # there are at least (cutoff - t)/tau - 1 children and each holds a
         # vector not counted yet; the + 2 absorbs rounding
@@ -234,7 +246,7 @@ def terms(medium: Medium, kind: str, cutoff: float,
         if n == last:
             # the children are full vectors: emit them here, not via the stack
             while tn <= cutoff:
-                yield tn, prefix + bars[kn], amp * row[kn] * tail[kn]
+                yield tn, prefix, bars[kn], amp * row[kn] * bottom[kn]
                 kn += 1
                 tn = t + kn * tau
         else:
@@ -258,12 +270,12 @@ def terms(medium: Medium, kind: str, cutoff: float,
 def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every reflection transit vector with <k, tau> <= cutoff, once each,
     in increasing lexicographic order of k."""
-    return (TransitVector(parse_k(k), REFLECTION)
-            for _, k, _ in terms(medium, REFLECTION, cutoff, lambda *key: 1.0))
+    return (TransitVector(parse_k(head + tail), REFLECTION)
+            for _, head, tail, _ in terms(medium, REFLECTION, cutoff, lambda *key: 1.0))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every transmission transit vector arriving by the cutoff, once
     each, in increasing lexicographic order of k."""
-    return (TransitVector(parse_k(k), TRANSMISSION)
-            for _, k, _ in terms(medium, TRANSMISSION, cutoff, lambda *key: 1.0))
+    return (TransitVector(parse_k(head + tail), TRANSMISSION)
+            for _, head, tail, _ in terms(medium, TRANSMISSION, cutoff, lambda *key: 1.0))

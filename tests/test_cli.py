@@ -148,8 +148,8 @@ def _edit_arrivals(monkeypatch, edit):
 
 
 def _perturb_first(rows):
-    t, k, amp = rows[0]
-    rows[0] = (t, k, amp + 1e-3)
+    t, head, tail, amp = rows[0]
+    rows[0] = (t, head, tail, amp + 1e-3)
 
 
 def _drop_first(rows):
@@ -202,8 +202,8 @@ def test_oracle_builds_each_class_column_once(capsys, monkeypatch):
     medium = read_medium(BENCH10)
     want = set()
     for kind in (transit.REFLECTION, transit.TRANSMISSION):
-        for _, text, _ in greens.arrivals(medium, kind, 2.5):
-            k = transit.parse_k(text)
+        for _, head, tail, _ in greens.arrivals(medium, kind, 2.5):
+            k = transit.parse_k(head + tail)
             want.update((kind, kn, ktn) for kn, ktn in zip(k, transit.left_shift(k)))
     built = collections.Counter()
     column = amplitudes.class_column

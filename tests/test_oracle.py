@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import islice
@@ -312,6 +313,48 @@ def _walk_states(path, m1):
         yield v, v == a + 1, tuple(down), tuple(branched)
 
 
+def _check_tally(medium, kind, cutoff):
+    """``tally`` against the per-walk reference: the same classes and counts,
+    sums within a bound on rounding, and the limit on states met exactly."""
+    # tally's reference: the walks whose transit vector arrives by the cutoff,
+    # listed at a padded budget so that the leg-summed walk times cut none short
+    counts, weights, lengths, states = {}, {}, {}, set()
+    for seq in enumerate_sequences(medium, kind, cutoff * (1 + 1e-9)):
+        ref = stats(seq, medium)
+        if ref.arrival <= cutoff:
+            k = ref.k.k
+            counts[k, ref.b] = counts.get((k, ref.b), 0) + 1
+            weights.setdefault(k, []).append(ref.weight)
+            lengths[k] = len(seq.depths)  # the same for every walk of k
+            states.update(_walk_states(seq.depths, medium.n_layers + 1))
+    # at exactly the states the walks pass through: a search that makes more,
+    # as one whose packed keys carry from one digit into the next may, fails
+    # at once instead of running on to the default limit
+    with patch.object(transit, "MAX_TERMS", len(states)):
+        got_sums, got_counts = tally(medium, kind, cutoff)
+    assert got_counts == counts
+    assert got_sums.keys() == weights.keys()
+    classes = {}
+    for k, _ in counts:
+        classes[k] = classes.get(k, 0) + 1
+    for k, ws in weights.items():
+        # n counts roundings, measured from the exact products: at each visit
+        # of a walk, tally rounds one product and at most one merge of the two
+        # states that lead into a state, and the reference rounds one product;
+        # at most two finished states per class add into sums[k]; fsum rounds
+        # once.  A path of L entries has L - 2 visits, so 3 L covers them all.
+        # A product that underflows may also lose half the least subnormal,
+        # and no factor exceeds 1 in size to magnify that later.
+        n = 3 * lengths[k] + 2 * classes[k]
+        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        bound = gamma * math.fsum(map(abs, ws)) + n * len(ws) * math.ulp(0.0)
+        assert abs(got_sums[k] - math.fsum(ws)) <= bound
+    if states:
+        with patch.object(transit, "MAX_TERMS", len(states) - 1):
+            with pytest.raises(EnumerationLimitExceeded):
+                tally(medium, kind, cutoff)
+
+
 @st.composite
 def _walk_cases(draw):
     m = draw(st.integers(1, 3))
@@ -350,43 +393,53 @@ def test_walks_match_the_per_sequence_reference(case):
                 list(enumerate_sequences(medium, kind, cutoff))
         with patch.object(transit, "MAX_TERMS", len(sequences)):
             assert list(enumerate_sequences(medium, kind, cutoff)) == sequences
-    # tally's reference: the walks whose transit vector arrives by the cutoff,
-    # listed at a padded budget so that the leg-summed walk times cut none short
-    counts, weights, lengths, states = {}, {}, {}, set()
-    for seq in enumerate_sequences(medium, kind, cutoff * (1 + 1e-9)):
-        ref = stats(seq, medium)
-        if ref.arrival <= cutoff:
-            k = ref.k.k
-            counts[k, ref.b] = counts.get((k, ref.b), 0) + 1
-            weights.setdefault(k, []).append(ref.weight)
-            lengths[k] = len(seq.depths)  # the same for every walk of k
-            states.update(_walk_states(seq.depths, medium.n_layers + 1))
-    got_sums, got_counts = tally(medium, kind, cutoff)
-    assert got_counts == counts
-    assert got_sums.keys() == weights.keys()
-    classes = {}
-    for k, _ in counts:
-        classes[k] = classes.get(k, 0) + 1
-    for k, ws in weights.items():
-        # n counts roundings, measured from the exact products: at each visit
-        # of a walk, tally rounds one product and at most one merge of the two
-        # states that lead into a state, and the reference rounds one product;
-        # at most two finished states per class add into sums[k]; fsum rounds
-        # once.  A path of L entries has L - 2 visits, so 3 L covers them all.
-        # A product that underflows may also lose half the least subnormal,
-        # and no factor exceeds 1 in size to magnify that later.
-        n = 3 * lengths[k] + 2 * classes[k]
-        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
-        bound = gamma * math.fsum(map(abs, ws)) + n * len(ws) * math.ulp(0.0)
-        assert abs(got_sums[k] - math.fsum(ws)) <= bound
-    if states:
-        with patch.object(transit, "MAX_TERMS", len(states) - 1):
-            with pytest.raises(EnumerationLimitExceeded):
-                tally(medium, kind, cutoff)
-        with patch.object(transit, "MAX_TERMS", len(states)):
-            assert tally(medium, kind, cutoff)[1] == counts
+    _check_tally(medium, kind, cutoff)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             tally(medium, kind, bad)
         with pytest.raises(DomainError):
             next(enumerate_sequences(medium, kind, bad))
+
+
+@st.composite
+def _wide_walk_cases(draw):
+    m = draw(st.integers(1, 3))
+    # travel times up to 50 times apart: tally's digit width comes from the
+    # least travel time of layers 1..M, and a budget of a few of its round
+    # trips takes that layer's entry up to the largest the digit must hold
+    base = draw(st.floats(0.02, 0.2))
+    taus = [base * x for x in draw(st.lists(st.floats(1.0, 50.0), min_size=m + 1,
+                                            max_size=m + 1))]
+    refls = draw(st.lists(st.floats(-0.95, 0.95), min_size=m + 1, max_size=m + 1))
+    medium = make_medium(tuple(taus), draw(st.floats(0.0, 1.0)), tuple(refls))
+    kind = draw(st.sampled_from([REFLECTION, TRANSMISSION]))
+    start = taus[0] if kind == REFLECTION else half_total_time(medium)
+    cutoff = start + (6.0 - draw(st.integers(0, 600)) / 100) * min(taus[1:])
+    return medium, kind, cutoff
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_walk_cases())
+@example((make_medium((1.0, 0.02), 0.0, (0.5, -0.4)), REFLECTION, 1.12))
+@example((make_medium((0.02, 1.0, 0.03), 0.5, (0.3, 0.6, -0.7)), TRANSMISSION, 0.93))
+def test_tally_matches_the_walks_when_travel_times_differ_widely(case):
+    _check_tally(*case)
+
+
+# sha256 over bench10's tally at cutoff 2.5: every (k, float.hex of sums[k])
+# and every (k, b, count), sorted, one line each
+_TALLY_DIGESTS = {
+    REFLECTION: (248, 283, "41bc3cbca7a2ad40f71341103c3aeeb1d4ca5fd3e1faf10630123d5577e0835c"),
+    TRANSMISSION: (96, 111, "9942daede59eb7202d2ae446bb6d940d3a40f6425ea53838afa975f9b5aae2ab"),
+}
+
+
+@pytest.mark.parametrize("kind", [REFLECTION, TRANSMISSION])
+def test_tally_is_pinned_bit_for_bit(bench10, kind):
+    sums, counts = tally(bench10, kind, 2.5)
+    digest = hashlib.sha256()
+    for k in sorted(sums):
+        digest.update(f"{k} {sums[k].hex()}\n".encode("ascii"))
+    for k, b in sorted(counts):
+        digest.update(f"{k} {b} {counts[k, b]}\n".encode("ascii"))
+    assert (len(sums), len(counts), digest.hexdigest()) == _TALLY_DIGESTS[kind]

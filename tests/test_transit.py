@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import re
 
@@ -216,9 +217,9 @@ def test_terms_come_in_lexicographic_order_and_sort_on_time_alone(kind, taus, ta
     m = make_medium(taus, tail, [refl * (-1) ** n for n in range(len(taus))])
     first = taus[0] if kind == REFLECTION else transit.half_total_time(m)
     cutoff = first + span
-    # the rows carry k as its text; compare the parsed int tuples
-    rows = [(t, transit.parse_k(k), a)
-            for t, k, a in greens.arrivals(m, kind, cutoff)]
+    # the rows carry k as its text in two parts; compare the parsed int tuples
+    rows = [(t, transit.parse_k(head + tail), a)
+            for t, head, tail, a in greens.arrivals(m, kind, cutoff)]
     ks = [k for _, k, _ in rows]
     assert all(a < b for a, b in zip(ks, ks[1:]))
     # the build sorts on time alone; that must be exactly the (time, k) sort
@@ -241,8 +242,8 @@ def test_terms_asks_each_factor_once(bench10, kind, cutoff):
     rows = list(transit.terms(bench10, kind, cutoff, counted))
     assert rows == list(greens.arrivals(bench10, kind, cutoff))
     used = set()
-    for _, text, _ in rows:
-        k = transit.parse_k(text)
+    for _, head, tail, _ in rows:
+        k = transit.parse_k(head + tail)
         # a reflection vector multiplies the factors of its support alone
         size = k.index(0) if kind == REFLECTION and 0 in k else len(k)
         used.update(zip(range(size), k, left_shift(k)))
@@ -270,3 +271,27 @@ def test_an_unknown_kind_is_refused(read, kind):
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     with pytest.raises(DomainError, match=re.escape(f"unknown kind {kind!r}")):
         read(kind, m)
+
+
+# the functions that return an iterator, called without advancing it
+_ITERATOR_READERS = {
+    "terms": lambda m, kind, cutoff: transit.terms(m, kind, cutoff, lambda *key: 1.0),
+    "arrivals": greens.arrivals,
+    "enumerate_sequences": oracle.enumerate_sequences,
+}
+
+
+@pytest.mark.parametrize("read", _ITERATOR_READERS.values(), ids=list(_ITERATOR_READERS))
+def test_an_unknown_kind_is_refused_at_the_call(read):
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    with pytest.raises(DomainError, match="unknown kind 'echo'"):
+        read(m, "echo", 3.0)
+
+
+@pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("read", [greens.arrivals, oracle.enumerate_sequences],
+                         ids=["arrivals", "enumerate_sequences"])
+def test_a_non_finite_cutoff_is_refused_at_the_call(read, cutoff):
+    m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
+    with pytest.raises(DomainError, match="cutoff must be finite"):
+        read(m, REFLECTION, cutoff)
