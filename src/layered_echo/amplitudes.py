@@ -15,8 +15,8 @@ into a product over indices of small one-dimensional sums.  That is how
 it is evaluated here: per index n, sum the n-th factor over the admissible
 b_n, then multiply the per-index sums.  This costs O(sum of range lengths)
 per vector instead of the size of the full branch set.  The sums and the
-class tables (``class_tables``) read index n's binomials from one place,
-``class_column``.
+class tables (``class_tables``) read index n's branch range, u_n and
+binomials from one place, ``class_column``.
 
 The terms of a per-index sum alternate in sign, and at large transit
 counts their magnitudes (binomials of order 2^(k_n + k~_n) times powers of
@@ -37,7 +37,7 @@ import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import DomainError, InvalidTransitVector, ReflectionOutOfRange
-from .transit import REFLECTION, TRANSMISSION, TransitVector, _Memo, branch_range, left_shift
+from .transit import REFLECTION, TRANSMISSION, TransitVector, _Memo, left_shift
 
 
 def _check_reflections(refls: Sequence[float], k: Sequence[int]) -> None:
@@ -62,24 +62,34 @@ _FLOAT_TINY = 2.0 ** -1000
 
 
 def class_column(kind: str, kn: int, ktn: int) -> List[Tuple[int, int]]:
-    """(b_n, C(k_n, b_n) C(k~_n - u_n, b_n - u_n)) for every b_n in
-    ``transit.branch_range(kind, k_n, k~_n)``, whose start is u_n: the
-    number of ways level n of the tree can branch b_n times."""
-    r = branch_range(kind, kn, ktn)
-    return [(b, math.comb(kn, b) * math.comb(ktn - r.start, b - r.start)) for b in r]
+    """(b_n, C(k_n, b_n) C(k~_n - u_n, b_n - u_n)) for every admissible b_n
+    of index n, u_n..min(k_n, k~_n), with u_n = min(1, k~_n) for reflection
+    and 0 for transmission: the number of ways level n of the tree can
+    branch b_n times.  The Cartesian product of the b_n over n is the
+    branch set of k.  Empty for a reflection index with k_n = 0 < k~_n,
+    which no reflection vector has.  DomainError for any other kind."""
+    if kind == REFLECTION:
+        un = min(1, ktn)
+    elif kind == TRANSMISSION:
+        un = 0
+    else:
+        raise DomainError(f"unknown kind {kind!r}")
+    return [(b, math.comb(kn, b) * math.comb(ktn - un, b - un))
+            for b in range(un, min(kn, ktn) + 1)]
 
 
 def layer_factor(kind: str, r: float, kn: int, ktn: int) -> float:
     """Per-index factor s_n(R_n, k_n, k~_n); the amplitude of k is their
-    product over n = 0..M, multiplied in that order."""
+    product over n = 0..M, multiplied in that order.  0.0 for an empty
+    ``class_column``."""
+    column = class_column(kind, kn, ktn)
+    if not column:
+        return 0.0
+    un, hi = column[0][0], column[-1][0]
     t2 = 1.0 - r * r
     tn = 1.0 if kind == REFLECTION else math.sqrt(t2)
-    # the bounds come from the range, not the column, which may be empty
-    bs = branch_range(kind, kn, ktn)
-    un, hi = bs.start, bs.stop - 1
-    column = class_column(kind, kn, ktn)
     if (kn + ktn <= _FLOAT_K
-            and abs(r) ** max(0, kn + ktn - 2 * un) * t2 ** hi >= _FLOAT_TINY):
+            and abs(r) ** (kn + ktn - 2 * un) * t2 ** hi >= _FLOAT_TINY):
         s = size = 0.0
         for b, c in column:
             sign = -1.0 if (ktn - b) & 1 else 1.0

@@ -9,9 +9,9 @@ A train is a frozen dataclass of three parallel tuples, ``times``,
 ``amps`` and ``k_text``, and of nothing else (no kind, no cutoff); the
 builders, ``merge_ties``, ``read_train_csv``, ``write_train_csv`` and
 ``convolve`` work on them.  A transit vector is kept as its CSV text,
-"1|3|0" (``transit.format_k``), which a build joins once per vector from
-the two parts of the search's row as the row comes, and
-``write_train_csv`` writes as it is.  The ``ks`` tuples are made only
+its entries joined by "|" ("1|3|0").  A build joins that text once per
+vector from the two parts of the search's row as the row comes, and
+``write_train_csv`` writes it as it is.  The ``ks`` tuples are made only
 when that property is read, anew each time.  The transit vectors are
 provenance: ``read_train_csv`` checks a k column but keeps none of it,
 so every term it reads has the text "" and k = ().
@@ -89,10 +89,9 @@ def arrivals(medium: Medium, kind: str,
              cutoff: float) -> Iterator[Tuple[float, str, str, float]]:
     """The closed form's (arrival, head, tail, amplitude) rows up to the
     cutoff, in increasing lexicographic order of k, as ``transit.terms``
-    yields them: the k text is ``head + tail``.  DomainError for a
-    non-finite cutoff or an unknown kind, at the call."""
-    if not math.isfinite(cutoff):
-        raise DomainError(f"cutoff must be finite, got {cutoff}")
+    yields them: the k text is ``head + tail``.  Its checks are the
+    search's: DomainError for a non-finite cutoff or an unknown kind, at
+    the call."""
     refls = medium.reflections
     return transit.terms(medium, kind, cutoff,
                          lambda n, kn, ktn: layer_factor(kind, refls[n], kn, ktn))

@@ -1,4 +1,4 @@
-"""Transit count vectors: enumeration, branch ranges and arrival times.
+"""Transit count vectors: enumeration and arrival times.
 
 A reflection transit vector k has k_0 = 1 and prefix support (k_n = 0
 forces k_{n+1} = 0); a transmission transit vector has k_0 = 0 with
@@ -29,14 +29,11 @@ builds no k tuple and joins no row's text; ``parse_k`` parses a joined
 text back where a caller wants the entries.  The factor rows last one
 search and are its only cache of factors, so the caller's ``factor``
 function is called once per key.
-
-``branch_range`` gives the admissible branch counts b_n of one index; their
-Cartesian product over n is the branch set of k, whose classes
-``amplitudes.class_tables`` counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence, Tuple
@@ -94,19 +91,6 @@ def left_shift(k: Sequence[int]) -> Tuple[int, ...]:
     return k[1:] + (0,)
 
 
-def branch_range(kind: str, kn: int, ktn: int) -> range:
-    """The admissible b_n of index n, u_n..min(k_n, k~_n): u_n = min(1, k~_n)
-    for reflection and 0 for transmission.  Empty for a reflection index
-    with k_n = 0 < k~_n.  DomainError for any other kind."""
-    if kind == REFLECTION:
-        un = min(1, ktn)
-    elif kind == TRANSMISSION:
-        un = 0
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
-    return range(un, min(kn, ktn) + 1)
-
-
 def half_total_time(medium: Medium) -> float:
     """|tau'|/2: one-way traversal time of the whole stack, fixed summation order."""
     base = 0.0
@@ -152,11 +136,6 @@ class _Memo(dict):
         return value
 
 
-def format_k(k: Sequence[int]) -> str:
-    """The text of a transit vector, as the CSV k field writes it: "1|3|0"."""
-    return "|".join(map(str, k))
-
-
 def parse_k(text: str) -> Tuple[int, ...]:
     """The transit vector a k text holds; "" (no k) gives ()."""
     return tuple(map(int, text.split("|"))) if text else ()
@@ -166,11 +145,11 @@ def terms(medium: Medium, kind: str, cutoff: float,
           factor: Callable[[int, int, int], float]) -> Iterator[Tuple[float, str, str, float]]:
     """Yield (arrival, head, tail, amplitude) for every transit vector k arriving by the cutoff.
 
-    The k text is ``head + tail``, ``format_k(k)``, e.g. "1|3|0"; ``parse_k``
-    parses it back.  ``head`` is the text of the search node that emits the
-    row, one string for every row it emits, and ``tail`` is "|k_M" or the
-    zeros "|0|0" that pad a reflection prefix; a caller that keeps the text
-    joins the two.
+    The k text is ``head + tail``, the entries of k joined by "|", e.g.
+    "1|3|0"; ``parse_k`` parses it back.  ``head`` is the text of the
+    search node that emits the row, one string for every row it emits, and
+    ``tail`` is "|k_M" or the zeros "|0|0" that pad a reflection prefix; a
+    caller that keeps the text joins the two.
     The arrival is ``reflection_arrival(k)`` or ``transmission_arrival(k)``;
     the comparison with the cutoff is inclusive, and nothing is yielded if
     the first arrival is already late.  ``factor(n, k_n, k_{n+1})`` is the
@@ -191,9 +170,11 @@ def terms(medium: Medium, kind: str, cutoff: float,
     Raises EnumerationLimitExceeded if and only if more than MAX_TERMS
     vectors arrive: the search counts each node's children after making
     them, so a few past the limit may be yielded before it raises, and stops
-    at once when one node surely has too many.  DomainError for an unknown
-    kind, at the call.
+    at once when one node surely has too many.  DomainError for a
+    non-finite cutoff or an unknown kind, at the call.
     """
+    if not math.isfinite(cutoff):
+        raise DomainError(f"cutoff must be finite, got {cutoff}")
     if kind not in (REFLECTION, TRANSMISSION):
         raise DomainError(f"unknown kind {kind!r}")
     return _search(medium, kind, cutoff, factor)
@@ -269,13 +250,15 @@ def _search(medium: Medium, kind: str, cutoff: float,
 
 def enumerate_reflection(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every reflection transit vector with <k, tau> <= cutoff, once each,
-    in increasing lexicographic order of k."""
+    in increasing lexicographic order of k.  DomainError for a non-finite
+    cutoff, at the call."""
     return (TransitVector(parse_k(head + tail), REFLECTION)
             for _, head, tail, _ in terms(medium, REFLECTION, cutoff, lambda *key: 1.0))
 
 
 def enumerate_transmission(medium: Medium, cutoff: float) -> Iterator[TransitVector]:
     """Yield every transmission transit vector arriving by the cutoff, once
-    each, in increasing lexicographic order of k."""
+    each, in increasing lexicographic order of k.  DomainError for a
+    non-finite cutoff, at the call."""
     return (TransitVector(parse_k(head + tail), TRANSMISSION)
             for _, head, tail, _ in terms(medium, TRANSMISSION, cutoff, lambda *key: 1.0))

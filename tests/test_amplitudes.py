@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REFLECT_CUTOFF, REFLECT_TERMS, TRANSMIT_CUTOFF, TRANSMIT_TERMS
 from layered_echo import (
     InvalidTransitVector,
     REFLECTION,
@@ -24,7 +25,8 @@ from layered_echo.amplitudes import (
     class_weight,
     layer_factor,
 )
-from layered_echo.transit import left_shift
+from layered_echo.greens import arrivals
+from layered_echo.transit import left_shift, parse_k
 
 
 def rvec(*k):
@@ -269,6 +271,24 @@ def test_amplitudes_always_finite(bench10):
         assert math.isfinite(a)
 
 
+@pytest.mark.parametrize("kind, cutoff, terms, amplitude", [
+    (REFLECTION, REFLECT_CUTOFF, REFLECT_TERMS, reflection_amplitude),
+    (TRANSMISSION, TRANSMIT_CUTOFF, TRANSMIT_TERMS, transmission_amplitude),
+], ids=[REFLECTION, TRANSMISSION])
+def test_every_bench10_row_has_the_per_vector_amplitude(bench10, kind, cutoff, terms, amplitude):
+    # the search skips a reflection vector's zero padding, whose factors
+    # s(0, 0) the per-vector amplitude multiplies in: both must give the
+    # same float on every row of the pinned trains, not only on a sample
+    refls = bench10.reflections
+    rows = 0
+    for _, head, tail, amp in arrivals(bench10, kind, cutoff):
+        tv = TransitVector(parse_k(head + tail), kind)
+        want = amplitude(refls, tv)
+        assert amp == want and math.copysign(1.0, amp) == math.copysign(1.0, want), tv.k
+        rows += 1
+    assert rows == terms
+
+
 def _exact_layer_sum(kind, r, kn, ktn):
     """The per-index sum in exact rationals, without the factor T_n of
     transmission: R_n is the float r exactly and T_n^2 = 1 - R_n^2."""
@@ -307,3 +327,13 @@ def test_layer_factor_survives_cancellation(kind, r, kn, ktn):
     # a float sum is kept only within CANCEL_LIMIT of its term magnitudes
     ulps = CANCEL_LIMIT * (kn + ktn + 9) / (1.0 - r * r) + 4
     assert abs(got - want) <= ulps * 2.0 ** -53 * abs(want)
+
+
+@pytest.mark.parametrize("ktn", [1, 2, 3, 1001])
+def test_an_empty_reflection_column_has_the_factor_plus_zero(ktn):
+    # k_n = 0 < k~_n leaves no admissible b_n; 1001 is past the float path
+    assert class_column(REFLECTION, 0, ktn) == []
+    for r in (0.0, 5e-324, 0.5, -0.9):
+        s = layer_factor(REFLECTION, r, 0, ktn)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0, r
+    assert class_tables(REFLECTION)((1, 0, 1)) == {}

@@ -32,7 +32,6 @@ from layered_echo.oracle import enumerate_sequences, stats, tally
 from layered_echo.transit import (
     TRANSMISSION,
     enumerate_transmission,
-    format_k,
     half_total_time,
     reflection_arrival,
     transmission_arrival,
@@ -148,7 +147,8 @@ def test_writer_matches_the_f_string_writer(n):
                     for _ in range(n)]
     # every k has an entry: with_k, the writer refuses the text "" of k = ()
     ks = [(0,), (7,), (1, 0), (0, 255, 256), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
-    texts = [format_k(ks[i % len(ks)] + tuple(rng.randrange(300) for _ in range(i % 4)))
+    texts = ["|".join(map(str, ks[i % len(ks)]
+                          + tuple(rng.randrange(300) for _ in range(i % 4))))
              for i in range(n)]
     train = PulseTrain(values[:n], values[:-n - 1:-1], texts)
     for with_k in (False, True):

@@ -253,7 +253,6 @@ def test_terms_asks_each_factor_once(bench10, kind, cutoff):
 
 # every function that reads a kind, called on one small medium
 _KIND_READERS = {
-    "branch_range": lambda kind, m: transit.branch_range(kind, 2, 1),
     "class_column": lambda kind, m: class_column(kind, 2, 1),
     "layer_factor": lambda kind, m: layer_factor(kind, 0.5, 2, 1),
     "terms": lambda kind, m: list(transit.terms(m, kind, 3.0, lambda *key: 1.0)),
@@ -288,10 +287,22 @@ def test_an_unknown_kind_is_refused_at_the_call(read):
         read(m, "echo", 3.0)
 
 
+# every search that takes a cutoff, called without advancing an iterator
+_CUTOFF_READERS = {
+    "terms": lambda m, cutoff: transit.terms(m, REFLECTION, cutoff, lambda *key: 1.0),
+    "enumerate_reflection": enumerate_reflection,
+    "enumerate_transmission": enumerate_transmission,
+    "arrivals": lambda m, cutoff: greens.arrivals(m, REFLECTION, cutoff),
+    "enumerate_sequences": lambda m, cutoff: oracle.enumerate_sequences(m, REFLECTION, cutoff),
+    "tally": lambda m, cutoff: oracle.tally(m, REFLECTION, cutoff),
+}
+
+
 @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("read", [greens.arrivals, oracle.enumerate_sequences],
-                         ids=["arrivals", "enumerate_sequences"])
+@pytest.mark.parametrize("read", _CUTOFF_READERS.values(), ids=list(_CUTOFF_READERS))
 def test_a_non_finite_cutoff_is_refused_at_the_call(read, cutoff):
+    # nan compares false with every arrival and inf allows them all: neither
+    # may reach a search, which would yield the primary or hit the term limit
     m = make_medium((1.0, 1.0), 0.0, (0.5, 0.5))
     with pytest.raises(DomainError, match="cutoff must be finite"):
-        read(m, REFLECTION, cutoff)
+        read(m, cutoff)
