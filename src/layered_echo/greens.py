@@ -22,6 +22,7 @@ A train build evaluates each distinct per-layer factor once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -206,17 +207,15 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
     Sample i is the sum over the terms, in train order, of
     amplitude * wavelet(t0 + i*dt - time).  A callable with a ``radius``
     attribute promises wavelet(t) == 0.0 for |t| >= radius (as ``ricker``
-    does); each term then visits only the samples inside its radius, with
-    one sample of margin each side, and the skipped contributions are
-    exactly +-0.0, so the signal is bit-identical to the sum over every
-    sample.  Where rounding of huge times could move a sample across the
-    radius, that term takes the whole grid.  A callable without ``radius``
-    is evaluated on the whole grid.  A term at or after
-    t0 + (n_samples + 2)*dt + radius reaches no sample and is skipped
-    before any window arithmetic, unless rounding at that time could
-    reach the grid, when no term is skipped.  Cost: O(terms + sum of the
-    windows) wavelet calls instead of O(samples x terms), and only a
-    comparison for each term past the grid's far edge.
+    does); one without has radius inf.  Each term calls the wavelet on
+    exactly the samples whose offset t0 + i*dt - time lies strictly inside
+    the radius: the offset rises with i, so they are one run, found by two
+    bisections keyed on that offset.  The skipped contributions are exactly
+    +-0.0, so the signal is bit-identical to the sum over every sample.  A
+    term whose offset at the last sample is at most -radius reaches no
+    sample and costs one comparison.  Cost: O(sum of the runs) wavelet
+    calls instead of O(samples x terms), and O(log samples) for each term
+    that is not past the grid's far edge.
     Term times and amplitudes must be finite (``read_train_csv`` checks).
     """
     if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t0)):
@@ -225,10 +224,11 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
         raise DomainError("need at least one sample")
     try:
         samples = [0.0] * n_samples
+        grid = [t0 + i * dt for i in range(n_samples)]
     except (OverflowError, MemoryError):
         raise DomainError(f"cannot allocate {n_samples} samples") from None
-    n = float(n_samples)
     if wavelet == "spike":
+        n = float(n_samples)
         for tj, aj in zip(train.times, train.amps):
             q = (tj - t0) / dt
             # compare in float first: round() of an overflowed quotient raises
@@ -238,38 +238,15 @@ def convolve(train: PulseTrain, wavelet, t0: float, dt: float,
                     samples[idx] += aj
     else:
         radius = getattr(wavelet, "radius", math.inf)
-        # every step of _window's arithmetic is monotone in the term time, so
-        # if a term at t_far gets an empty window at the grid's end, every
-        # later one does too; otherwise (huge times, no radius) cut nothing.
-        # Two samples past the last, not one, so that a rounding of
-        # (t_far - radius - t0) / dt to just under n_samples + 1 still cuts
-        t_far = t0 + (n + 2.0) * dt + radius
-        if _window(t_far, t0, dt, n_samples, radius) != (n_samples, n_samples):
-            t_far = math.inf
+        last = grid[-1]
         for tj, aj in zip(train.times, train.amps):
-            if tj >= t_far:
+            if last - tj <= -radius:
                 continue
-            lo, hi = _window(tj, t0, dt, n_samples, radius)
+            lo = bisect_right(grid, -radius, key=lambda x: x - tj)
+            hi = bisect_left(grid, radius, lo, key=lambda x: x - tj)
             for i in range(lo, hi):
-                samples[i] += aj * wavelet(t0 + i * dt - tj)
+                samples[i] += aj * wavelet(grid[i] - tj)
     return SampledSignal(t0, dt, tuple(samples))
-
-
-def _window(tj: float, t0: float, dt: float, n_samples: int,
-            radius: float) -> Tuple[int, int]:
-    """The samples [lo, hi) a term at tj can reach: those within radius of
-    it, one sample of margin each side, or the whole grid."""
-    n = float(n_samples)
-    # clamp in float: int() of a huge or infinite quotient would overflow
-    lo = int(max(0.0, min(n, (tj - radius - t0) / dt - 1.0)))
-    hi = int(max(0.0, min(n, (tj + radius - t0) / dt + 2.0)))
-    # t0 + i*dt - tj is monotone in i, so if the samples just outside
-    # the window lie at or beyond the radius, all the skipped ones do;
-    # when rounding of huge times breaks that, take the whole grid
-    if ((lo > 0 and t0 + (lo - 1) * dt - tj > -radius)
-            or (hi < n_samples and t0 + hi * dt - tj < radius)):
-        return 0, n_samples
-    return lo, hi
 
 
 _CSV_CHUNK = 4096  # rows per write

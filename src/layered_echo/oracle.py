@@ -36,6 +36,7 @@ principles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
@@ -238,11 +239,12 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
     Inside the search k and b are each one int, entry n in digit n of base
     2^width, and transmission entries are stored plus one, so that the
     trunk's -1 is a digit too.  A digit holds the largest entry any
-    arriving vector can have, read off the cutoff and the least travel time
-    with the search's own floats, plus the one that a tested step may add;
-    so a step adds the unit of one index, no digit carries into the next,
-    and no two states share a key.  Each distinct k and b is unpacked into
-    an int tuple once, at the end.
+    arriving vector can have, the largest q with t0 + q*tau <= cutoff in
+    the search's own floats for the least travel time tau, found by one
+    bisection, plus the one that a tested step may add; so a step adds the
+    unit of one index, no digit carries into the next, and no two states
+    share a key.  Each distinct k and b is unpacked into an int tuple
+    once, at the end.
 
     A move is pruned when the least arrival of any walk through the state
     it makes is past the cutoff, taken from ``reflection_arrival`` or
@@ -273,14 +275,11 @@ def tally(medium: Medium, kind: str, cutoff: float) -> Tuple[Dict, Dict]:
     trans = [math.sqrt(1.0 - r * r) for r in refls]
     limit = transit.MAX_TERMS
     # q: the most k_n can be in an arriving vector, the largest q with
-    # t0 + q * tau <= cutoff for the least tau (k_0 is fixed).  No entry
+    # t0 + q * tau <= cutoff for the least tau (k_0 is fixed), or 0: as
+    # t0 + j * tau rises with j, the number of such j from 1 on.  No entry
     # passes the number of states either, so q stops at the limit
     tau = min(taus[1:])
-    q = int(min(limit, max(0.0, (cutoff - t0) // tau)))
-    while q < limit and t0 + (q + 1) * tau <= cutoff:
-        q += 1
-    while q and t0 + q * tau > cutoff:
-        q -= 1
+    q = bisect_right(range(1, limit + 1), cutoff, key=lambda j: t0 + j * tau)
     # a state's b_n is at most its k_{n+1}, and a tested vector has at most
     # one entry past q
     width = (q + 1 + offset).bit_length()

@@ -882,3 +882,14 @@ def test_console_script_runs_outside_the_checkout(tmp_path):
     res = launch_cli("reflect", "--medium", str(BENCH10), "--cutoff", "2", "--out", "/dev/null",
                      entry=("-c", code), cwd=tmp_path, capture_output=True, timeout=60)
     assert (res.returncode, res.stdout) == (0, ""), res.stderr
+
+
+def test_oldest_ci_python_is_the_requires_python_floor():
+    # the package needs 3.10 (bisect's key=): CI's oldest interpreter and the
+    # floor pyproject declares must move together
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (REPO_ROOT / "pyproject.toml").read_text(), re.M).groups()
+    matrix = re.search(r"^\s*python-version: \[(.*)\]$",
+                       (REPO_ROOT / ".github/workflows/tests.yml").read_text(), re.M).group(1)
+    versions = [tuple(map(int, v.strip(" \"'").split("."))) for v in matrix.split(",")]
+    assert min(versions) == tuple(map(int, floor))

@@ -7,7 +7,7 @@ import random
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import REFLECT_CUTOFF, TRANSMIT_CUTOFF
 from layered_echo import (
@@ -381,13 +381,36 @@ def _trains_and_grids(draw):
     return PulseTrain(times, amps, ("1",) * len(times)), wavelet, t0, dt, n
 
 
+def _counting(wavelet, offsets):
+    """The wavelet, appending each offset it is called at to offsets; it
+    keeps the wavelet's ``radius``, if any."""
+    def counted(t):
+        offsets.append(t)
+        return wavelet(t)
+
+    if hasattr(wavelet, "radius"):
+        counted.radius = wavelet.radius
+    return counted
+
+
 @settings(max_examples=300, deadline=None)
 @given(_trains_and_grids())
+# int term times: the offset is sample time minus term time, as the
+# every-sample loop takes it
+@example((PulseTrain([1, 2], [0.5, -0.25], ("1", "2")), ricker(25.0), 0.5, 0.05, 40))
 def test_windowed_convolve_matches_every_sample_loop(case):
     train, wavelet, t0, dt, n = case
     got = convolve(train, wavelet, t0, dt, n).samples
     want = _convolve_every_sample(train, wavelet, t0, dt, n)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+    # each term calls the wavelet on exactly the samples strictly inside its
+    # radius, in grid order: no margin, and none past it
+    radius = getattr(wavelet, "radius", math.inf)
+    for tj in train.times:
+        offsets = []
+        convolve(PulseTrain((tj,), (1.0,), ("1",)), _counting(wavelet, offsets), t0, dt, n)
+        inside = [t0 + i * dt - tj for i in range(n)]
+        assert offsets == [x for x in inside if abs(x) < radius]
 
 
 def test_windowed_convolve_exact_when_rounding_exceeds_the_radius():
@@ -411,12 +434,21 @@ def test_windowed_convolve_exact_when_rounding_exceeds_the_radius():
 def test_convolve_far_edge_cut_is_exact(t0, dt, n, cut, has_radius):
     w = ricker(25.0)
     t_far = t0 + (n + 2) * dt + w.radius
-    assert (greens._window(t_far, t0, dt, n, w.radius) == (n, n)) == cut
     times = [t0 + (n // 2) * dt, math.nextafter(t_far, -math.inf), t_far,
              math.nextafter(t_far, math.inf), t_far + 1.0, t0 - 1.0]
     amps = [0.5 - 0.125 * j for j in range(len(times))]
     train = PulseTrain(times, amps, ("1",) * len(times))
     wavelet = w if has_radius else (lambda t: w(t))
+    if has_radius:
+        # a term at or after the far edge makes no wavelet call, unless
+        # rounding at huge times brings the edge back onto the grid
+        called = []
+        for tj in times:
+            if tj >= t_far:
+                offsets = []
+                convolve(PulseTrain((tj,), (1.0,), ("1",)), _counting(w, offsets), t0, dt, n)
+                called.append(bool(offsets))
+        assert any(called) != cut
     got = convolve(train, wavelet, t0, dt, n).samples
     want = _convolve_every_sample(train, wavelet, t0, dt, n)
     assert [x.hex() for x in got] == [x.hex() for x in want]

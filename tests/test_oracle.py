@@ -426,6 +426,22 @@ def test_tally_matches_the_walks_when_travel_times_differ_widely(case):
     _check_tally(*case)
 
 
+# the arrival of the largest entry q is the cutoff itself, and the floor
+# quotient (cutoff - t0) // tau puts q one lower.  q + 1, plus one for the
+# stored trunk of transmission, is 4: a digit sized from q - 1 is one bit
+# too narrow, and a tested step carries into the next digit
+@pytest.mark.parametrize("taus, kind, cutoff, q", [
+    ((0.73, 0.34), REFLECTION, 1.75, 3),
+    ((0.51, 0.34), TRANSMISSION, 1.105, 2),
+], ids=["reflection", "transmission"])
+def test_tally_digit_bound_when_the_quotient_misjudges_it(taus, kind, cutoff, q):
+    medium = make_medium(taus, 0.0, (0.5, -0.4))
+    t0 = taus[0] if kind == REFLECTION else half_total_time(medium)
+    assert t0 + q * taus[1] == cutoff
+    assert (cutoff - t0) // taus[1] == q - 1
+    _check_tally(medium, kind, cutoff)
+
+
 # sha256 over bench10's tally at cutoff 2.5: every (k, float.hex of sums[k])
 # and every (k, b, count), sorted, one line each
 _TALLY_DIGESTS = {
